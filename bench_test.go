@@ -368,7 +368,7 @@ func BenchmarkTimeModel(b *testing.B) {
 //
 // BenchmarkEstimate{Serial,Parallel}/<device> compare the Section III-D fit
 // on the sequential oracle path vs the worker-pool path, per device catalog
-// (Titan Xp: 7×4 ladder, GTX Titan X: 19×2, Tesla K40c: 4×1). The dataset
+// (Titan Xp: 22×2 ladder, GTX Titan X: 16×4, Tesla K40c: 4×1). The dataset
 // is measured once outside the timer; the loop times Estimate alone.
 //
 //	go test -bench 'BenchmarkEstimate(Serial|Parallel)' -benchtime 3x

@@ -172,6 +172,7 @@ type estimatorWorkspace struct {
 
 	A, B    []float64 // step-2 per-benchmark precomputes
 	partial []float64 // trainingSSE per-config partial sums
+	mono    monotonicProjector
 }
 
 // growFloats returns s resized to exactly n entries, reusing its backing
@@ -236,7 +237,11 @@ func (ws *estimatorWorkspace) ub(bi int) []float64 {
 // solveXInto performs the (non-negative) least-squares estimation of X over
 // the given configuration indices, using the current voltage table (step 1
 // with V̄ ≡ 1, step 3 with the estimated voltages), writing the parameter
-// vector into dst (len nParams).
+// vector into dst (len nParams). The NNLS starts from the support of dst's
+// entry value (linalg.NNLSWorkspace.WarmSolveInto): step 3 passes the
+// previous iteration's X, whose support barely moves between iterations,
+// while a zero dst — step 1, the known-voltage and ablation fits — solves
+// cold. The fitted bits are the same either way (DESIGN.md §10.1).
 //
 // The design-matrix assembly is parallelized across configurations: the k-th
 // configuration owns the contiguous row block [k·nb, (k+1)·nb), so workers
@@ -269,7 +274,7 @@ func (ws *estimatorWorkspace) solveXInto(dst []float64, volt *VoltageTable, conf
 	if err != nil {
 		return err
 	}
-	return ws.nnls.SolveInto(dst, a, b)
+	return ws.nnls.WarmSolveInto(dst, a, b)
 }
 
 // fillRowBlock assembles configuration k's contiguous row block of the
@@ -408,37 +413,42 @@ func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opt
 	}
 
 	if !opts.DisableMonotonic {
-		if err := projectMonotonic(volt); err != nil {
+		if err := ws.mono.projectMonotonic(volt); err != nil {
 			return err
 		}
 	}
 	return renormalize(volt, d.Ref)
 }
 
+// monotonicProjector is projectMonotonic's reusable scratch: the PAVA
+// block stack and one memory-ladder column. A held projector projects
+// without allocating; the zero value is ready to use.
+type monotonicProjector struct {
+	pava linalg.PAVA
+	col  []float64
+}
+
 // projectMonotonic enforces Eq. 12's constraint: for each memory frequency,
 // V̄core must be non-decreasing along the core ladder; for each core
 // frequency, V̄mem non-decreasing along the memory ladder.
-func projectMonotonic(volt *VoltageTable) error {
+func (p *monotonicProjector) projectMonotonic(volt *VoltageTable) error {
 	for mi := range volt.VCore {
-		fit, err := linalg.IsotonicRegression(volt.VCore[mi], nil)
-		if err != nil {
+		if err := p.pava.FitInPlace(volt.VCore[mi], nil); err != nil {
 			return err
 		}
-		copy(volt.VCore[mi], fit)
 	}
 	nc := len(volt.CoreFreqs)
 	nm := len(volt.MemFreqs)
-	col := make([]float64, nm)
+	p.col = growFloats(p.col, nm)
 	for ci := 0; ci < nc; ci++ {
 		for mi := 0; mi < nm; mi++ {
-			col[mi] = volt.VMem[mi][ci]
+			p.col[mi] = volt.VMem[mi][ci]
 		}
-		fit, err := linalg.IsotonicRegression(col, nil)
-		if err != nil {
+		if err := p.pava.FitInPlace(p.col, nil); err != nil {
 			return err
 		}
 		for mi := 0; mi < nm; mi++ {
-			volt.VMem[mi][ci] = fit[mi]
+			volt.VMem[mi][ci] = p.col[mi]
 		}
 	}
 	return nil
@@ -648,15 +658,15 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 	prevVolt := volt.Clone()
 	prevSSE := math.Inf(1)
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		if err := backend.CheckContext(ctx, fmt.Sprintf("core: estimate (iteration %d)", iter)); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return nil, backend.CheckContext(ctx, fmt.Sprintf("core: estimate (iteration %d)", iter))
 		}
 		m.Iterations = iter
 		if err := ws.solveVoltages(x, volt, opts); err != nil {
 			return nil, fmt.Errorf("core: step 2 (iteration %d) failed: %w", iter, err)
 		}
 		if opts.OverRelax > 1 && iter > 1 {
-			if err := overRelax(prevVolt, volt, opts, d.Ref); err != nil {
+			if err := overRelax(prevVolt, volt, opts, d.Ref, &ws.mono); err != nil {
 				return nil, fmt.Errorf("core: over-relaxation (iteration %d) failed: %w", iter, err)
 			}
 		}
@@ -688,9 +698,9 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 }
 
 // overRelax extrapolates the voltage table along the last update direction,
-// re-projects onto the monotonicity cone and restores the reference
-// normalization.
-func overRelax(prev, volt *VoltageTable, opts *EstimatorOptions, ref hw.Config) error {
+// re-projects onto the monotonicity cone (on mono's scratch) and restores
+// the reference normalization.
+func overRelax(prev, volt *VoltageTable, opts *EstimatorOptions, ref hw.Config, mono *monotonicProjector) error {
 	eta := opts.OverRelax
 	clamp := func(v float64) float64 {
 		if v < opts.VoltageLo {
@@ -708,7 +718,7 @@ func overRelax(prev, volt *VoltageTable, opts *EstimatorOptions, ref hw.Config) 
 		}
 	}
 	if !opts.DisableMonotonic {
-		if err := projectMonotonic(volt); err != nil {
+		if err := mono.projectMonotonic(volt); err != nil {
 			return err
 		}
 	}

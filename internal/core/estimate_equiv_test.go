@@ -200,6 +200,39 @@ func TestSolveXIntoSubsetAllocFree(t *testing.T) {
 	}
 }
 
+// TestProjectMonotonicAllocFree pins the step-2 monotone projection at
+// zero allocations on held scratch, with every row and column of both
+// voltage ladders violating monotonicity so PAVA pools on each call.
+func TestProjectMonotonicAllocFree(t *testing.T) {
+	d := syntheticDataset(defaultSyntheticTruth(), 2, 0, 1)
+	volt := NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs)
+	if len(volt.MemFreqs) < 2 || len(volt.CoreFreqs) < 2 {
+		t.Fatalf("ladder %d×%d too small to pool both domains", len(volt.CoreFreqs), len(volt.MemFreqs))
+	}
+	descending := func() {
+		for mi := range volt.VCore {
+			for ci := range volt.VCore[mi] {
+				volt.VCore[mi][ci] = 2 - 0.01*float64(ci+mi)
+				volt.VMem[mi][ci] = 2 - 0.01*float64(ci+mi)
+			}
+		}
+	}
+	var p monotonicProjector
+	descending()
+	if err := p.projectMonotonic(volt); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		descending()
+		if err := p.projectMonotonic(volt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("projectMonotonic allocates %.1f/op on held scratch, want 0", allocs)
+	}
+}
+
 // TestEstimateMatchesReferenceEngine cross-checks the production engine
 // against the preserved pre-restructuring engine (estimate_reference.go) on
 // a synthetic dataset. The engines order their floating-point work

@@ -83,7 +83,7 @@ func solveVoltagesRef(d *Dataset, x []float64, volt *VoltageTable, opts *Estimat
 		}
 	}
 	if !opts.DisableMonotonic {
-		if err := projectMonotonic(volt); err != nil {
+		if err := new(monotonicProjector).projectMonotonic(volt); err != nil {
 			return err
 		}
 	}
@@ -167,7 +167,7 @@ func EstimateReference(ctx context.Context, d *Dataset, opts *EstimatorOptions) 
 			return nil, fmt.Errorf("core: step 2 (iteration %d) failed: %w", iter, err)
 		}
 		if opts.OverRelax > 1 && iter > 1 {
-			if err := overRelax(prevVolt, volt, opts, d.Ref); err != nil {
+			if err := overRelax(prevVolt, volt, opts, d.Ref, new(monotonicProjector)); err != nil {
 				return nil, fmt.Errorf("core: over-relaxation (iteration %d) failed: %w", iter, err)
 			}
 		}

@@ -8,57 +8,76 @@ import "fmt"
 //
 // The estimator uses it to enforce the paper's voltage monotonicity
 // constraint: f_x1 > f_x2 ⇒ V̄(f_x1) ≥ V̄(f_x2) (Section III-D, Eq. 12).
+// IsotonicRegression allocates its result and scratch per call; iterative
+// callers hold a PAVA and fit in place.
 func IsotonicRegression(y, weights []float64) ([]float64, error) {
-	n := len(y)
-	if n == 0 {
-		return nil, fmt.Errorf("linalg: isotonic regression on empty input")
-	}
-	w := weights
-	if w == nil {
-		w = make([]float64, n)
-		for i := range w {
-			w[i] = 1
-		}
-	}
-	if len(w) != n {
-		return nil, fmt.Errorf("linalg: isotonic weights length %d, want %d", len(w), n)
-	}
-	for i, wi := range w {
-		if wi <= 0 {
-			return nil, fmt.Errorf("linalg: isotonic weight %d is %g, must be positive", i, wi)
-		}
-	}
-
-	// Blocks of pooled values: value, weight, count.
-	type block struct {
-		v, w  float64
-		count int
-	}
-	blocks := make([]block, 0, n)
-	for i := 0; i < n; i++ {
-		blocks = append(blocks, block{v: y[i], w: w[i], count: 1})
-		// Merge backwards while the monotonicity is violated.
-		for len(blocks) >= 2 {
-			b := len(blocks) - 1
-			if blocks[b-1].v <= blocks[b].v {
-				break
-			}
-			merged := block{
-				w:     blocks[b-1].w + blocks[b].w,
-				count: blocks[b-1].count + blocks[b].count,
-			}
-			merged.v = (blocks[b-1].v*blocks[b-1].w + blocks[b].v*blocks[b].w) / merged.w
-			blocks = blocks[:b-1]
-			blocks = append(blocks, merged)
-		}
-	}
-	out := make([]float64, 0, n)
-	for _, b := range blocks {
-		for k := 0; k < b.count; k++ {
-			out = append(out, b.v)
-		}
+	out := append([]float64(nil), y...)
+	var p PAVA
+	if err := p.FitInPlace(out, weights); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// PAVA is reusable scratch for the Pool-Adjacent-Violators Algorithm: the
+// stack of pooled blocks. The zero value is ready to use; the stack grows
+// to the longest input seen, so a held PAVA fits without allocating. It is
+// single-goroutine state.
+type PAVA struct {
+	v, w  []float64 // pooled value and weight of each block
+	count []int     // points pooled into each block
+}
+
+// FitInPlace overwrites y with its isotonic regression (see
+// IsotonicRegression), pooling on p's block stack instead of allocating.
+func (p *PAVA) FitInPlace(y, weights []float64) error {
+	n := len(y)
+	if n == 0 {
+		return fmt.Errorf("linalg: isotonic regression on empty input")
+	}
+	if weights != nil {
+		if len(weights) != n {
+			return fmt.Errorf("linalg: isotonic weights length %d, want %d", len(weights), n)
+		}
+		for i, wi := range weights {
+			if wi <= 0 {
+				return fmt.Errorf("linalg: isotonic weight %d is %g, must be positive", i, wi)
+			}
+		}
+	}
+	if cap(p.v) < n {
+		p.v, p.w, p.count = make([]float64, n), make([]float64, n), make([]int, n)
+	}
+	v, w, count := p.v[:n], p.w[:n], p.count[:n]
+
+	top := 0 // blocks on the stack
+	for i := 0; i < n; i++ {
+		v[top], w[top], count[top] = y[i], 1, 1
+		if weights != nil {
+			w[top] = weights[i]
+		}
+		top++
+		// Merge backwards while the monotonicity is violated.
+		for top >= 2 {
+			b := top - 1
+			if v[b-1] <= v[b] {
+				break
+			}
+			mw := w[b-1] + w[b]
+			v[b-1] = (v[b-1]*w[b-1] + v[b]*w[b]) / mw
+			w[b-1] = mw
+			count[b-1] += count[b]
+			top--
+		}
+	}
+	i := 0
+	for b := 0; b < top; b++ {
+		for k := 0; k < count[b]; k++ {
+			y[i] = v[b]
+			i++
+		}
+	}
+	return nil
 }
 
 // IsotonicDecreasing returns the non-increasing fit, by reflecting the input.

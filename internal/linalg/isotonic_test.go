@@ -160,3 +160,106 @@ func TestIsotonicDecreasing(t *testing.T) {
 		}
 	}
 }
+
+// isotonicBlocks is the historical allocating PAVA — a stack of pooled
+// block structs, expanded into a fresh slice — kept as the oracle the
+// in-place form must match bit for bit.
+func isotonicBlocks(y, weights []float64) []float64 {
+	type block struct {
+		v, w  float64
+		count int
+	}
+	var blocks []block
+	for i := range y {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		blocks = append(blocks, block{v: y[i], w: w, count: 1})
+		for len(blocks) >= 2 {
+			b := len(blocks) - 1
+			if blocks[b-1].v <= blocks[b].v {
+				break
+			}
+			merged := block{
+				w:     blocks[b-1].w + blocks[b].w,
+				count: blocks[b-1].count + blocks[b].count,
+			}
+			merged.v = (blocks[b-1].v*blocks[b-1].w + blocks[b].v*blocks[b].w) / merged.w
+			blocks = append(blocks[:b-1], merged)
+		}
+	}
+	var out []float64
+	for _, b := range blocks {
+		for k := 0; k < b.count; k++ {
+			out = append(out, b.v)
+		}
+	}
+	return out
+}
+
+// TestPAVAFitInPlaceMatchesBlocks compares the in-place PAVA, reused across
+// inputs of varying length, and its allocating wrapper against the block
+// oracle on random inputs — with ties, long violating runs and weights.
+func TestPAVAFitInPlaceMatchesBlocks(t *testing.T) {
+	rng := stats.NewRNG(17)
+	var p PAVA
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = rng.Normal(1, 0.3)
+			if trial%3 == 0 {
+				y[i] = math.Round(4*y[i]) / 4 // ties
+			}
+		}
+		var weights []float64
+		if trial%2 == 1 {
+			weights = make([]float64, n)
+			for i := range weights {
+				weights[i] = 0.1 + rng.Float64()
+			}
+		}
+		want := isotonicBlocks(y, weights)
+
+		got := append([]float64(nil), y...)
+		if err := p.FitInPlace(got, weights); err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := IsotonicRegression(y, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+				math.Float64bits(wrapped[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: fit[%d] in place %x, wrapped %x, blocks %x",
+					trial, i, math.Float64bits(got[i]), math.Float64bits(wrapped[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestPAVAFitInPlaceAllocFree pins the held PAVA at zero allocations once
+// its block stack has grown to the input length.
+func TestPAVAFitInPlaceAllocFree(t *testing.T) {
+	rng := stats.NewRNG(2)
+	src := make([]float64, 64)
+	for i := range src {
+		src[i] = rng.Normal(1, 0.1)
+	}
+	y := make([]float64, len(src))
+	var p PAVA
+	if err := p.FitInPlace(append(y[:0], src...), nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		copy(y, src)
+		if err := p.FitInPlace(y, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PAVA.FitInPlace allocates %.1f/op, want 0", allocs)
+	}
+}

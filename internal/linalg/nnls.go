@@ -20,8 +20,8 @@ type passiveSolver func(a *Matrix, b []float64, passive []bool) ([]float64, erro
 // physical capacitance/leakage quantity and must be non-negative.
 //
 // NNLS allocates a fresh workspace per call; iterative callers (the
-// Section III-D refit loop) should hold an NNLSWorkspace and use SolveInto,
-// which allocates nothing in steady state.
+// Section III-D refit loop) should hold an NNLSWorkspace and use SolveInto
+// or WarmSolveInto, which allocate nothing in steady state.
 func NNLS(a *Matrix, b []float64) ([]float64, error) {
 	return nnls(a, b, nil)
 }
@@ -123,13 +123,37 @@ func (ws *NNLSWorkspace) Ensure(maxRows, maxCols int) {
 	*ws = *grown
 }
 
-// SolveInto solves min ‖A·x − b‖ s.t. x ≥ 0 into dst (len Cols). The
-// arithmetic — including the passive QR solves — is shared with the
-// allocating NNLS entry point, so the two are bitwise-identical; only the
-// storage strategy differs.
+// SolveInto solves min ‖A·x − b‖ s.t. x ≥ 0 into dst (len Cols), starting
+// from x = 0: whatever dst holds on entry is ignored. The arithmetic —
+// including the passive QR solves — is shared with the allocating NNLS
+// entry point, so the two are bitwise-identical; only the storage strategy
+// differs.
 //
 //gpower:noalloc the active-set iteration runs entirely on preallocated workspace storage
 func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error {
+	for j := range dst {
+		dst[j] = 0
+	}
+	return ws.WarmSolveInto(dst, a, b)
+}
+
+// WarmSolveInto is SolveInto started from the support of a previous
+// solution: on entry, the positive entries of dst name the starting passive
+// set. A cold solve grows the passive set from empty one variable at a
+// time, with a fresh QR per step; a caller re-solving a slowly drifting
+// system (the Section III-D step-3 refit) already knows the support, and
+// from it one passive solve and one KKT check finish the job.
+//
+// The named set is solved once. If it is full-rank and every coefficient
+// on it comes out positive, Lawson–Hanson continues from that point with
+// the same KKT check, adds and clips; otherwise the set is cleared and the
+// cold iteration runs unchanged. Either way the result is the least-squares
+// solution on the final passive set from the same sorted-column QR, so a
+// warm start that ends on the cold solve's passive set returns the cold
+// solve's bits (DESIGN.md §10.1).
+//
+//gpower:noalloc the warm start and the active-set iteration run entirely on preallocated workspace storage
+func (ws *NNLSWorkspace) WarmSolveInto(dst []float64, a *Matrix, b []float64) error {
 	m, n := a.Rows(), a.Cols()
 	if len(b) != m {
 		//gpower:allocs validation error path: a mis-sized rhs never reaches the solver
@@ -145,19 +169,10 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 	}
 
 	x := dst
-	for j := range x {
-		x[j] = 0
-	}
-	passive := ws.passive[:n] // true: variable free, false: clamped at 0
 	blocked := ws.blocked[:n] // variables whose inclusion made the passive set singular
-	for j := 0; j < n; j++ {
-		passive[j] = false
+	for j := range blocked {
 		blocked[j] = false
 	}
-
-	w := ws.w[:n] // gradient of the active (clamped) variables
-	resid := ws.resid[:m]
-	copy(resid, b)
 
 	const (
 		maxOuter = 3 * 64
@@ -166,9 +181,23 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 	// Scale tolerance with the problem.
 	scale := a.MaxAbs() * Norm2(b)
 	if scale == 0 {
+		for j := range x {
+			x[j] = 0
+		}
 		return nil // A or b is all-zero; x = 0 is optimal.
 	}
 	gradTol := tol * scale
+
+	passive := ws.passive[:n] // true: variable free, false: clamped at 0
+	w := ws.w[:n]             // gradient of the active (clamped) variables
+	resid := ws.resid[:m]
+	if ws.warmStart(x, a, b) {
+		if err := ws.residualInto(resid, a, b, x); err != nil {
+			return err
+		}
+	} else {
+		copy(resid, b)
+	}
 
 	outer := 0
 	for {
@@ -261,13 +290,8 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 			}
 		}
 
-		// Refresh the residual.
-		ax := ws.ax[:m]
-		if err := a.MulVecInto(ax, x); err != nil {
+		if err := ws.residualInto(resid, a, b, x); err != nil {
 			return err
-		}
-		for i := range resid {
-			resid[i] = b[i] - ax[i]
 		}
 	}
 	// Clean tiny negatives from floating-point noise.
@@ -275,6 +299,48 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 		if x[j] < 0 && x[j] > -1e-12 {
 			x[j] = 0
 		}
+	}
+	return nil
+}
+
+// warmStart seeds the passive set with the positive entries of x and
+// solves the least-squares problem on it once. It reports whether that
+// solution is a feasible starting point — the set is full-rank and every
+// coefficient on it is positive — and leaves it in x. Otherwise it clears
+// the passive set and zeroes x: the cold start.
+func (ws *NNLSWorkspace) warmStart(x []float64, a *Matrix, b []float64) bool {
+	passive := ws.passive[:len(x)]
+	seeded := false
+	for j, v := range x {
+		passive[j] = v > 0
+		seeded = seeded || passive[j]
+	}
+	if seeded {
+		z, err := ws.solvePassive(a, b, passive)
+		feasible := err == nil
+		for j := 0; feasible && j < len(x); j++ {
+			feasible = !passive[j] || z[j] > 0
+		}
+		if feasible {
+			copy(x, z)
+			return true
+		}
+	}
+	for j := range x {
+		x[j] = 0
+		passive[j] = false
+	}
+	return false
+}
+
+// residualInto refreshes resid = b − A·x on the workspace's product buffer.
+func (ws *NNLSWorkspace) residualInto(resid []float64, a *Matrix, b, x []float64) error {
+	ax := ws.ax[:a.Rows()]
+	if err := a.MulVecInto(ax, x); err != nil {
+		return err
+	}
+	for i := range resid {
+		resid[i] = b[i] - ax[i]
 	}
 	return nil
 }

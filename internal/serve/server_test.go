@@ -388,9 +388,16 @@ func TestSwapMidTraffic(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errc := make(chan error, readers)
+	// A batch that only one model produces, and the generation reported
+	// with it; checked once the swapping is over (see installedAs).
+	type served struct {
+		gen   uint64
+		model *core.Model
+	}
+	seen := make([][]served, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
 			for {
 				select {
@@ -424,20 +431,28 @@ func TestSwapMidTraffic(t *testing.T) {
 					errc <- fmt.Errorf("served batch matches neither generation: %v", out.Results[0].Watts)
 					return
 				}
-				// The reported generation must agree with the batch content.
-				if matchA && !matchB && out.Generation != a.Generation() {
-					errc <- fmt.Errorf("batch from model A but generation %d", out.Generation)
-					return
+				if matchA != matchB {
+					m := a
+					if matchB {
+						m = b
+					}
+					seen[r] = append(seen[r], served{gen: out.Generation, model: m})
 				}
 			}
-		}()
+		}(r)
 	}
 
+	// The generation each model was installed under. Swap gives the
+	// outgoing model a fresh generation, so by the time a reader looks,
+	// the model that served its batch may already carry another one; the
+	// reported generation must match the one it was serving under.
+	installedAs := map[uint64]*core.Model{a.Generation(): a}
 	cur, next := a, b
 	for i := 0; i < 150; i++ {
 		if _, err := e.Swap(next, registry.FitMeta{}); err != nil {
 			t.Fatal(err)
 		}
+		installedAs[next.Generation()] = next
 		cur, next = next, cur
 	}
 	close(stop)
@@ -447,6 +462,14 @@ func TestSwapMidTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = cur
+	// The reported generation must agree with the batch content.
+	for _, obs := range seen {
+		for _, s := range obs {
+			if installedAs[s.gen] != s.model {
+				t.Fatalf("batch from model %p but generation %d (installed for %p)", s.model, s.gen, installedAs[s.gen])
+			}
+		}
+	}
 }
 
 func batchEquals(got, want []float64) bool {
