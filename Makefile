@@ -19,12 +19,11 @@
 #                  facts), snapshot-coherence (atomicsnap), serving-boundary
 #                  (httpbound), wire-unit (dtounits) and live-suppression
 #                  (unusedignore) invariants; must stay green on every PR.
-#                  Incremental and parallel: per-package results are cached
+#                  Incremental and serial: per-package results are cached
 #                  under $$(os.UserCacheDir())/gpowerlint (DESIGN.md §9.9),
-#                  directory groups run on the internal/parallel pool with
-#                  byte-identical output (DESIGN.md §9.13), and the target
-#                  prints its wall time so cache regressions are visible in
-#                  CI logs.
+#                  directory groups run one after another in path order
+#                  (DESIGN.md §9.13), and the target prints its wall time so
+#                  cache regressions are visible in CI logs.
 #   make alloccheck — zero-allocation gate: interprocedurally proves every
 #                  //gpower:noalloc-annotated hot-path root allocation-free
 #                  (internal/alloccheck; see DESIGN.md §13), failing on any
@@ -33,9 +32,8 @@
 #                  page cache), requires byte-identical reports, and prints
 #                  both wall times like `make lint`; must stay green on
 #                  every PR.
-#   make lint-bench — cold-serial vs cold-parallel vs warm timing into fresh
-#                  facts dirs; the numbers recorded in EXPERIMENTS.md come
-#                  from here. GPUPOWER_SEQUENTIAL=1 pins the serial leg.
+#   make lint-bench — cold vs warm timing into a fresh facts dir; the
+#                  numbers recorded in EXPERIMENTS.md come from here.
 #   make bench   — regenerate the paper's tables/figures (EXPERIMENTS.md numbers)
 #   make speedup — serial vs parallel Estimate comparison per device catalog
 #   make bench-json — run the perf-relevant Go benchmarks plus the speedup
@@ -129,24 +127,20 @@ alloccheck:
 	cmp -s "$$tmp/cold.txt" "$$tmp/warm.txt" || { echo "alloccheck: cold and warm reports differ"; exit 1; }; \
 	echo "alloccheck: cold $$cold ms, warm $$warm ms"
 
-# lint-bench times cold runs (fresh facts dir: full parse + type check of
-# the module) serial (GPUPOWER_SEQUENTIAL=1) and parallel, then a warm run
-# over the identical tree, using a prebuilt binary so `go run` compilation
-# noise stays out of the measurements. Output is byte-identical across all
-# three; only the wall clock moves.
+# lint-bench times a cold run (fresh facts dir: full parse + type check of
+# the module), then a warm run over the identical tree, using a prebuilt
+# binary so `go run` compilation noise stays out of the measurements.
+# Output is byte-identical across both; only the wall clock moves.
 lint-bench:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/gpowerlint" ./cmd/gpowerlint; \
-	start=$$(date +%s%N); \
-	GPUPOWER_SEQUENTIAL=1 "$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts-serial" ./... || exit $$?; \
-	end=$$(date +%s%N); coldserial=$$(( (end - start) / 1000000 )); \
 	start=$$(date +%s%N); \
 	"$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts" ./... || exit $$?; \
 	end=$$(date +%s%N); cold=$$(( (end - start) / 1000000 )); \
 	start=$$(date +%s%N); \
 	"$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts" ./... || exit $$?; \
 	end=$$(date +%s%N); warm=$$(( (end - start) / 1000000 )); \
-	echo "lint-bench: cold-serial $$coldserial ms, cold-parallel $$cold ms, warm $$warm ms"
+	echo "lint-bench: cold $$cold ms, warm $$warm ms"
 
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...

@@ -19,10 +19,9 @@
 //	dtounits      DTO field names whose unit disagrees with their json tag
 //	unusedignore  //lint:ignore directives that suppressed zero diagnostics
 //
-// Directory groups are analyzed concurrently on the internal/parallel worker
-// pool; output is byte-identical to the serial order (diagnostics are merged
-// and sorted into a total order). Set GPUPOWER_SEQUENTIAL=1 to force the
-// serial path when isolating an engine issue or benchmarking the speedup.
+// Directory groups are analyzed one after another in path order, and
+// diagnostics are merged and sorted into a total order, so output is
+// byte-identical across cold, warm and -no-cache runs.
 //
 // Usage:
 //

@@ -10,8 +10,8 @@
 // reasons are mandatory and dead hatches are errors.
 //
 // alloccheck is a standalone verification subsystem, not a gpowerlint
-// analyzer; it reuses the concurrent single-flight lint.Loader purely as a
-// type-checking library. Verdicts are memoized per function with cycle
+// analyzer; it reuses the memoized lint.Loader purely as a type-checking
+// library. Verdicts are memoized per function with cycle
 // tainting (a verdict computed through an in-progress call chain is never
 // cached), so output is deterministic and position-ordered regardless of
 // which root is proven first. DESIGN.md §13 documents the semantics and

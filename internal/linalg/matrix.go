@@ -12,16 +12,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"gpupower/internal/parallel"
 )
-
-// parallelMinWork is the scalar-op threshold below which the parallel
-// matrix kernels stay on the inline serial path: the estimator's 11-column
-// systems are far too small for goroutine fan-out to pay for itself, but
-// the same kernels are reused by batched workloads where rows × cols grows
-// into the millions.
-const parallelMinWork = 1 << 16
 
 // Matrix is a dense, row-major matrix of float64.
 type Matrix struct {
@@ -158,10 +149,7 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Mul returns the matrix product m·b. Output rows are independent, so for
-// large products the row loop fans out across the worker pool (each
-// goroutine writes a disjoint row of out with the same per-row arithmetic
-// as the serial loop — the result is bitwise-identical).
+// Mul returns the matrix product m·b.
 func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	out := NewMatrix(m.rows, b.cols)
 	if err := m.MulInto(out, b); err != nil {
@@ -172,8 +160,8 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 
 // MulInto computes out = m·b into a caller-owned matrix, reusing its
 // storage so iterative callers allocate nothing per product. out is fully
-// overwritten; it must not alias m or b. The row kernel is shared with Mul,
-// so the two are bitwise-identical.
+// overwritten; it must not alias m or b. Mul runs this kernel on a fresh
+// matrix, so the two are bitwise-identical.
 func (m *Matrix) MulInto(out *Matrix, b *Matrix) error {
 	if m.cols != b.rows {
 		return fmt.Errorf("linalg: dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols)
@@ -181,51 +169,23 @@ func (m *Matrix) MulInto(out *Matrix, b *Matrix) error {
 	if out.rows != m.rows || out.cols != b.cols {
 		return fmt.Errorf("linalg: MulInto destination %dx%d, want %dx%d", out.rows, out.cols, m.rows, b.cols)
 	}
-	// The serial path inlines the row kernel rather than calling a shared
-	// closure: a func literal created before the branch escapes into the
-	// parallel.ForEach callback and costs one heap allocation per call even
-	// when the loop never fans out. The two bodies are textually identical,
-	// so the results remain bitwise-equal.
-	if m.rows*m.cols*b.cols < parallelMinWork {
-		for i := 0; i < m.rows; i++ {
-			mulRowInto(out, m, b, i)
+	for i := 0; i < m.rows; i++ {
+		orow := out.data[i*out.cols : (i+1)*out.cols]
+		for j := range orow {
+			orow[j] = 0
 		}
-		return nil
-	}
-	return parallel.ForEach(m.rows, func(i int) error {
-		mulRowInto(out, m, b, i)
-		return nil
-	})
-}
-
-// gatherRow copies the selected columns of row i of m into row i of out.
-// Package function (not a closure) so the serial path of CopyColumns pays
-// only the destination allocation.
-func gatherRow(out, m *Matrix, cols []int, i int) {
-	src := m.data[i*m.cols : (i+1)*m.cols]
-	dst := out.data[i*out.cols : (i+1)*out.cols]
-	for k, j := range cols {
-		dst[k] = src[j]
-	}
-}
-
-// mulRowInto computes row i of out = m·b. It is a package function (not a
-// closure) so the serial path of MulInto allocates nothing.
-func mulRowInto(out, m, b *Matrix, i int) {
-	orow := out.data[i*out.cols : (i+1)*out.cols]
-	for j := range orow {
-		orow[j] = 0
-	}
-	for k := 0; k < m.cols; k++ {
-		a := m.data[i*m.cols+k]
-		if a == 0 {
-			continue
-		}
-		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for j, bv := range brow {
-			orow[j] += a * bv
+		for k := 0; k < m.cols; k++ {
+			a := m.data[i*m.cols+k]
+			if a == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			for j, bv := range brow {
+				orow[j] += a * bv
+			}
 		}
 	}
+	return nil
 }
 
 // MulVec returns the matrix-vector product m·x.
@@ -260,9 +220,7 @@ func (m *Matrix) MulVecInto(dst, x []float64) error {
 }
 
 // CopyColumns gathers the given columns (in order) into a new matrix —
-// the sub-matrix assembly used by the NNLS passive-set solves. Rows are
-// copied independently; large gathers fan the row loop out across the
-// worker pool (disjoint destination rows, bitwise-identical result).
+// the sub-matrix assembly of the reference NNLS passive-set solve.
 func (m *Matrix) CopyColumns(cols []int) *Matrix {
 	for _, j := range cols {
 		if j < 0 || j >= m.cols {
@@ -270,26 +228,18 @@ func (m *Matrix) CopyColumns(cols []int) *Matrix {
 		}
 	}
 	out := NewMatrix(m.rows, len(cols))
-	if m.rows*len(cols) < parallelMinWork {
-		for i := 0; i < m.rows; i++ {
-			gatherRow(out, m, cols, i)
+	for i := 0; i < m.rows; i++ {
+		src := m.data[i*m.cols : (i+1)*m.cols]
+		dst := out.data[i*out.cols : (i+1)*out.cols]
+		for k, j := range cols {
+			dst[k] = src[j]
 		}
-		return out
 	}
-	// Gather errors are impossible (bounds pre-checked), so the error
-	// return is structurally nil.
-	_ = parallel.ForEach(m.rows, func(i int) error {
-		gatherRow(out, m, cols, i)
-		return nil
-	})
 	return out
 }
 
 // TMulVec returns the transpose product Aᵀ·y without materializing Aᵀ.
 // This is the gradient kernel of the NNLS active-set loop (w = Aᵀ·resid).
-// Columns are independent, so large systems fan the column loop out across
-// the worker pool; each goroutine writes one disjoint out[j] with the same
-// ascending-row accumulation as the serial loop (bitwise-identical).
 func (m *Matrix) TMulVec(y []float64) ([]float64, error) {
 	out := make([]float64, m.cols)
 	if err := m.TMulVecInto(out, y); err != nil {
@@ -309,27 +259,14 @@ func (m *Matrix) TMulVecInto(dst, y []float64) error {
 		//gpower:allocs validation error path: a mis-sized dst never reaches the kernel
 		return fmt.Errorf("linalg: TMulVec dst length %d, want %d", len(dst), m.cols)
 	}
-	// Serial body inlined (not a shared closure) so this path allocates
-	// nothing — it is the per-iteration gradient kernel of the NNLS loop.
-	if m.rows*m.cols < parallelMinWork {
-		for j := 0; j < m.cols; j++ {
-			var s float64
-			for i := 0; i < m.rows; i++ {
-				s += m.data[i*m.cols+j] * y[i]
-			}
-			dst[j] = s
-		}
-		return nil
-	}
-	//gpower:allocs large-matrix fan-out: the column closure escapes into the worker pool; NNLS-sized systems take the inline loop above
-	return parallel.ForEach(m.cols, func(j int) error {
+	for j := 0; j < m.cols; j++ {
 		var s float64
 		for i := 0; i < m.rows; i++ {
 			s += m.data[i*m.cols+j] * y[i]
 		}
 		dst[j] = s
-		return nil
-	})
+	}
+	return nil
 }
 
 // String renders the matrix for debugging.

@@ -224,33 +224,6 @@ func TestTMulVecMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestTMulVecLargeParallelPath(t *testing.T) {
-	// Large enough to cross parallelMinWork: the parallel column fan-out
-	// must agree bitwise with the serial transpose product.
-	const rows, cols = 700, 120
-	m := NewMatrix(rows, cols)
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		y[i] = math.Sin(float64(i))
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, math.Cos(float64(i*cols+j)))
-		}
-	}
-	got, err := m.TMulVec(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < cols; j++ {
-		var s float64
-		for i := 0; i < rows; i++ {
-			s += m.At(i, j) * y[i]
-		}
-		if got[j] != s {
-			t.Fatalf("col %d: parallel %v != serial %v", j, got[j], s)
-		}
-	}
-}
-
 func TestCopyColumns(t *testing.T) {
 	m, _ := NewMatrixFromRows([][]float64{
 		{1, 2, 3},
@@ -274,37 +247,4 @@ func TestCopyColumns(t *testing.T) {
 		}
 	}()
 	m.CopyColumns([]int{3})
-}
-
-func TestMulLargeParallelMatchesSerial(t *testing.T) {
-	// Cross the parallelMinWork threshold and compare against a straight
-	// triple loop; the row-parallel product must be bitwise-identical.
-	const n = 48
-	a := NewMatrix(n, n)
-	b := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, 1/float64(i+j+1))
-			b.Set(i, j, float64((i*j)%7)-3)
-		}
-	}
-	got, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				av := a.At(i, k)
-				if av == 0 {
-					continue
-				}
-				s += av * b.At(k, j)
-			}
-			if got.At(i, j) != s {
-				t.Fatalf("(%d,%d): parallel %g != serial %g", i, j, got.At(i, j), s)
-			}
-		}
-	}
 }

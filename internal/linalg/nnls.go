@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // passiveSolver solves the least-squares problem restricted to the passive
 // columns. The default path is the workspace-backed solvePassiveInto; tests
@@ -59,15 +56,6 @@ type NNLSWorkspace struct {
 	sub       Matrix    // current passive-submatrix view over subData
 	qr        *QRWorkspace
 
-	// Bounded-solve scratch (BoundedSolveInto only). The bounded refinement
-	// nests a second NNLS solve inside the workspace, so it owns disjoint
-	// buffers: the nested SolveInto freely reuses z/zs/sub while the
-	// bounded-level submatrix and solution live here.
-	rhs          []float64 // maxRows
-	boundIdx     []int
-	boundX       []float64 // maxCols
-	boundSubData []float64 // maxRows*maxCols
-
 	// testSolve, when non-nil, replaces the passive solve (test injection).
 	testSolve passiveSolver
 }
@@ -83,22 +71,18 @@ func NewNNLSWorkspace(maxRows, maxCols int) *NNLSWorkspace {
 		qrRows = maxCols
 	}
 	return &NNLSWorkspace{
-		maxRows:      maxRows,
-		maxCols:      maxCols,
-		w:            make([]float64, maxCols),
-		z:            make([]float64, maxCols),
-		zs:           make([]float64, maxCols),
-		passive:      make([]bool, maxCols),
-		blocked:      make([]bool, maxCols),
-		idx:          make([]int, 0, maxCols),
-		resid:        make([]float64, maxRows),
-		ax:           make([]float64, maxRows),
-		subData:      make([]float64, maxRows*maxCols),
-		qr:           NewQRWorkspace(qrRows, maxCols),
-		rhs:          make([]float64, maxRows),
-		boundIdx:     make([]int, 0, maxCols),
-		boundX:       make([]float64, maxCols),
-		boundSubData: make([]float64, maxRows*maxCols),
+		maxRows: maxRows,
+		maxCols: maxCols,
+		w:       make([]float64, maxCols),
+		z:       make([]float64, maxCols),
+		zs:      make([]float64, maxCols),
+		passive: make([]bool, maxCols),
+		blocked: make([]bool, maxCols),
+		idx:     make([]int, 0, maxCols),
+		resid:   make([]float64, maxRows),
+		ax:      make([]float64, maxRows),
+		subData: make([]float64, maxRows*maxCols),
+		qr:      NewQRWorkspace(qrRows, maxCols),
 	}
 }
 
@@ -433,82 +417,4 @@ func solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, error) {
 		z[j] = zs[k]
 	}
 	return z, nil
-}
-
-// BoundedNNLS solves min ‖A·x−b‖ s.t. 0 ≤ x ≤ upper (element-wise), by a
-// simple projected refinement on top of NNLS. upper entries may be +Inf.
-func BoundedNNLS(a *Matrix, b []float64, upper []float64) ([]float64, error) {
-	ws := NewNNLSWorkspace(a.Rows(), a.Cols())
-	x := make([]float64, a.Cols())
-	if err := ws.BoundedSolveInto(x, a, b, upper); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// BoundedSolveInto is BoundedNNLS on caller-owned scratch: zero steady-state
-// allocations when reusing the workspace across solves.
-//
-//gpower:noalloc the projected refinement reuses the workspace's bound buffers
-func (ws *NNLSWorkspace) BoundedSolveInto(dst []float64, a *Matrix, b, upper []float64) error {
-	m, n := a.Rows(), a.Cols()
-	if len(upper) != n {
-		//gpower:allocs validation error path: a mis-sized bound vector never reaches the solver
-		return fmt.Errorf("linalg: BoundedNNLS upper length %d, want %d", len(upper), n)
-	}
-	x := dst
-	if err := ws.SolveInto(x, a, b); err != nil {
-		return err
-	}
-	clipped := false
-	for j := range x {
-		if x[j] > upper[j] {
-			x[j] = upper[j]
-			clipped = true
-		}
-	}
-	if !clipped {
-		return nil
-	}
-	// Re-solve the unclipped variables with the clipped contribution moved to
-	// the right-hand side, once. This is not a full active-set method over
-	// box constraints but is exact when the clip set is correct, which holds
-	// for the well-conditioned systems produced by the estimator.
-	rhs := ws.rhs[:m]
-	copy(rhs, b)
-	cols := ws.boundIdx[:0]
-	for j := 0; j < n; j++ {
-		if x[j] >= upper[j] && !math.IsInf(upper[j], 1) {
-			for i := 0; i < m; i++ {
-				rhs[i] -= a.At(i, j) * upper[j]
-			}
-		} else {
-			//gpower:allocs appends into ws.boundIdx, preallocated to maxCols, so at most n ≤ maxCols entries stay in capacity
-			cols = append(cols, j)
-		}
-	}
-	if len(cols) == 0 {
-		return nil
-	}
-	k := len(cols)
-	am := Matrix{rows: m, cols: k, data: ws.boundSubData[:m*k]}
-	for i := 0; i < m; i++ {
-		src := a.data[i*a.cols : (i+1)*a.cols]
-		row := am.data[i*k : (i+1)*k]
-		for p, j := range cols {
-			row[p] = src[j]
-		}
-	}
-	xs := ws.boundX[:k]
-	if err := ws.SolveInto(xs, &am, rhs); err != nil {
-		return err
-	}
-	for p, j := range cols {
-		v := xs[p]
-		if v > upper[j] {
-			v = upper[j]
-		}
-		x[j] = v
-	}
-	return nil
 }

@@ -248,25 +248,3 @@ func TestNNLSRHSLengthMismatch(t *testing.T) {
 		t.Fatal("length mismatch accepted")
 	}
 }
-
-func TestBoundedNNLS(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{
-		{1, 0},
-		{0, 1},
-	})
-	b := []float64{5, 2}
-	x, err := BoundedNNLS(a, b, []float64{3, math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 3, 1e-9) || !almostEq(x[1], 2, 1e-9) {
-		t.Fatalf("x = %v, want [3 2]", x)
-	}
-}
-
-func TestBoundedNNLSBadUpper(t *testing.T) {
-	a := NewMatrix(2, 2)
-	if _, err := BoundedNNLS(a, []float64{0, 0}, []float64{1}); err == nil {
-		t.Fatal("upper length mismatch accepted")
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"gpupower/internal/parallel"
 )
 
 // ErrRankDeficient is returned when a least-squares system does not have a
@@ -20,17 +18,12 @@ type QR struct {
 	rdia []float64 // diagonal of R
 }
 
-// qrRowBlock is the fixed row-block length of the blocked Householder
-// kernel. Block b of column k covers rows [k+b·qrRowBlock, k+(b+1)·qrRowBlock),
-// so the block decomposition — and therefore the partial-sum association of
-// the fused reflector application — is a property of the matrix shape alone,
-// never of the worker count. Serial and parallel factorizations of the same
-// matrix are bitwise-identical.
+// qrRowBlock is the fixed row-block length of the Householder kernel's
+// vᵀ·A pass: each block of qrRowBlock rows is summed on its own and the
+// block sums are folded in block order. The blocks depend on the matrix
+// shape alone, and this association is what the committed golden models
+// pin, so it must not change.
 const qrRowBlock = 256
-
-// qrBlocks returns the number of row blocks a factorization of m rows can
-// touch (the column-0 count, which is the maximum over all columns).
-func qrBlocks(m int) int { return (m + qrRowBlock - 1) / qrRowBlock }
 
 // colNorm2 computes the Euclidean norm of rows [k, m) of column k with one
 // scaled sum-of-squares pass (overflow-safe like a Hypot chain, but one
@@ -54,110 +47,52 @@ func colNorm2(qr *Matrix, k int) float64 {
 	return mx * math.Sqrt(ss)
 }
 
-// reflectorPartial computes row block b's partial sums of vᵀ·A over the
-// trailing columns of the column-k reflector into partial[b·cols : (b+1)·cols].
-// Package function (not a closure) so the inline serial dispatch in
-// applyReflector allocates nothing — the same closure-escape trap MulInto
-// documents.
-func reflectorPartial(qr *Matrix, k, b int, partial []float64) {
-	m, n := qr.rows, qr.cols
-	lo := k + b*qrRowBlock
-	hi := lo + qrRowBlock
-	if hi > m {
-		hi = m
-	}
-	data := qr.data
-	part := partial[b*n : (b+1)*n]
-	for j := k + 1; j < n; j++ {
-		part[j] = 0
-	}
-	for i := lo; i < hi; i++ {
-		row := data[i*n : (i+1)*n]
-		vi := row[k]
-		for j := k + 1; j < n; j++ {
-			part[j] += vi * row[j]
-		}
-	}
-}
-
-// reflectorUpdate applies the rank-1 update of the column-k reflector to row
-// block b: A_ij += w_j·v_i. Blocks own disjoint rows. Package function for
-// the same allocation reason as reflectorPartial.
-func reflectorUpdate(qr *Matrix, k, b int, w []float64) {
-	m, n := qr.rows, qr.cols
-	lo := k + b*qrRowBlock
-	hi := lo + qrRowBlock
-	if hi > m {
-		hi = m
-	}
-	data := qr.data
-	for i := lo; i < hi; i++ {
-		row := data[i*n : (i+1)*n]
-		vi := row[k]
-		for j := k + 1; j < n; j++ {
-			row[j] += w[j] * vi
-		}
-	}
-}
-
 // applyReflector applies the column-k Householder reflector (packed in rows
 // [k, m) of column k, pivot on the diagonal) to the trailing columns with a
 // fused two-pass row sweep:
 //
 //	pass 1:  w_j = Σ_i v_i·A_ij   (per-block partials, folded in block order)
-//	pass 2:  A_ij += s_j·v_i      (s_j = −w_j/v_k; disjoint row blocks)
+//	pass 2:  A_ij += s_j·v_i      (s_j = −w_j/v_k)
 //
 // Compared with the historical column-at-a-time loop this reads each row
-// once per pass (row-major, cache-friendly), touches no bounds-checked
-// At/Set accessors, and is the fan-out point that lets the step-1/step-3
-// refits scale across cores. Both passes run over the same fixed block
-// decomposition whether dispatched inline or across the pool, so serial and
-// parallel factorizations are bitwise-identical.
+// once per pass (row-major, cache-friendly) and touches no bounds-checked
+// At/Set accessors.
 //
-// w needs len ≥ cols; partial needs len ≥ blocks·cols.
-func applyReflector(qr *Matrix, k int, w, partial []float64) {
+// w and part need len ≥ cols.
+func applyReflector(qr *Matrix, k int, w, part []float64) {
 	m, n := qr.rows, qr.cols
 	if k+1 >= n {
 		return
 	}
-	rows := m - k
-	blocks := (rows + qrRowBlock - 1) / qrRowBlock
-	fanOut := blocks > 1 && rows*(n-k-1) >= parallelMinWork
-	// Pass 1: per-block partial sums of vᵀ·A over the trailing columns.
-	if fanOut {
-		// The per-block work is reflectorPartial either way; the closure only
-		// routes the block index, so fan-out cannot change a bit.
-		//gpower:allocs large-matrix fan-out: the block closure escapes into the worker pool; small solves take the inline loop below
-		_ = parallel.ForEach(blocks, func(b int) error {
-			reflectorPartial(qr, k, b, partial)
-			return nil
-		})
-	} else {
-		for b := 0; b < blocks; b++ {
-			reflectorPartial(qr, k, b, partial)
+	data := qr.data
+	for j := k + 1; j < n; j++ {
+		w[j] = 0
+	}
+	for lo := k; lo < m; lo += qrRowBlock {
+		hi := min(lo+qrRowBlock, m)
+		for j := k + 1; j < n; j++ {
+			part[j] = 0
+		}
+		for i := lo; i < hi; i++ {
+			row := data[i*n : (i+1)*n]
+			vi := row[k]
+			for j := k + 1; j < n; j++ {
+				part[j] += vi * row[j]
+			}
+		}
+		for j := k + 1; j < n; j++ {
+			w[j] += part[j]
 		}
 	}
-	// Fold the partials in block order (fixed association) and precompute
-	// the per-column update scale.
-	data := qr.data
 	pivot := data[k*n+k]
 	for j := k + 1; j < n; j++ {
-		var s float64
-		for b := 0; b < blocks; b++ {
-			s += partial[b*n+j]
-		}
-		w[j] = -s / pivot
+		w[j] = -w[j] / pivot
 	}
-	// Pass 2: rank-1 update, disjoint row blocks.
-	if fanOut {
-		//gpower:allocs large-matrix fan-out: the block closure escapes into the worker pool; small solves take the inline loop below
-		_ = parallel.ForEach(blocks, func(b int) error {
-			reflectorUpdate(qr, k, b, w)
-			return nil
-		})
-	} else {
-		for b := 0; b < blocks; b++ {
-			reflectorUpdate(qr, k, b, w)
+	for i := k; i < m; i++ {
+		row := data[i*n : (i+1)*n]
+		vi := row[k]
+		for j := k + 1; j < n; j++ {
+			row[j] += w[j] * vi
 		}
 	}
 }
@@ -170,9 +105,8 @@ func applyReflector(qr *Matrix, k int, w, partial []float64) {
 // historical Hypot-chain kernel survives as householderRef, the baseline of
 // the speedup measurements.
 //
-// w and partial are caller-owned scratch: len(w) ≥ cols,
-// len(partial) ≥ qrBlocks(rows)·cols.
-func householder(qr *Matrix, rdia, w, partial []float64) {
+// w and part are caller-owned scratch of len ≥ cols.
+func householder(qr *Matrix, rdia, w, part []float64) {
 	m, n := qr.rows, qr.cols
 	data := qr.data
 	for k := 0; k < n; k++ {
@@ -186,7 +120,7 @@ func householder(qr *Matrix, rdia, w, partial []float64) {
 				data[i*n+k] /= nrm
 			}
 			data[k*n+k]++
-			applyReflector(qr, k, w, partial)
+			applyReflector(qr, k, w, part)
 		}
 		rdia[k] = -nrm
 	}
@@ -255,7 +189,7 @@ func NewQR(a *Matrix) (*QR, error) {
 	}
 	qr := a.Clone()
 	rdia := make([]float64, n)
-	householder(qr, rdia, make([]float64, n), make([]float64, qrBlocks(m)*n))
+	householder(qr, rdia, make([]float64, n), make([]float64, n))
 	return &QR{qr: qr, rdia: rdia}, nil
 }
 
@@ -293,7 +227,7 @@ type QRWorkspace struct {
 	rdia             []float64
 	y                []float64
 	w                []float64 // blocked-kernel per-column update scales
-	partial          []float64 // blocked-kernel per-block partial sums
+	part             []float64 // blocked-kernel partial sums of one row block
 
 	qr       Matrix // current factorization view over qrData
 	factored bool
@@ -312,7 +246,7 @@ func NewQRWorkspace(maxRows, maxCols int) *QRWorkspace {
 		rdia:    make([]float64, maxCols),
 		y:       make([]float64, maxRows),
 		w:       make([]float64, maxCols),
-		partial: make([]float64, qrBlocks(maxRows)*maxCols),
+		part:    make([]float64, maxCols),
 	}
 }
 
@@ -332,7 +266,7 @@ func (w *QRWorkspace) Factorize(a *Matrix) error {
 	}
 	w.qr = Matrix{rows: m, cols: n, data: w.qrData[:m*n]}
 	copy(w.qr.data, a.data)
-	householder(&w.qr, w.rdia[:n], w.w[:n], w.partial[:qrBlocks(m)*n])
+	householder(&w.qr, w.rdia[:n], w.w[:n], w.part[:n])
 	w.factored = true
 	return nil
 }

@@ -85,45 +85,6 @@ func TestNNLSWorkspaceMatchesNNLS(t *testing.T) {
 	}
 }
 
-// TestBoundedSolveIntoMatchesBoundedNNLS does the same for the box-bounded
-// refinement, which nests a second NNLS solve inside the workspace and must
-// therefore keep its bounded-level buffers disjoint from the nested solve's.
-func TestBoundedSolveIntoMatchesBoundedNNLS(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ws := NewNNLSWorkspace(80, 11)
-	for trial := 0; trial < 40; trial++ {
-		m := 11 + rng.Intn(70)
-		n := 2 + rng.Intn(10)
-		a, b := randSystem(rng, m, n)
-		upper := make([]float64, n)
-		for j := range upper {
-			switch rng.Intn(3) {
-			case 0:
-				upper[j] = math.Inf(1)
-			case 1:
-				upper[j] = 0.5 * rng.Float64()
-			default:
-				upper[j] = 2 * rng.Float64()
-			}
-		}
-
-		want, err := BoundedNNLS(a, b, upper)
-		if err != nil {
-			t.Fatalf("BoundedNNLS: %v", err)
-		}
-		got := make([]float64, n)
-		if err := ws.BoundedSolveInto(got, a, b, upper); err != nil {
-			t.Fatalf("BoundedSolveInto: %v", err)
-		}
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("trial %d: x[%d] = %x, want %x (not bitwise equal)",
-					trial, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 // TestSolvePassiveIntoMatchesReference pins the workspace passive solve to
 // the allocating reference implementation used by the injection tests.
 func TestSolvePassiveIntoMatchesReference(t *testing.T) {
@@ -221,28 +182,6 @@ func TestNNLSWorkspaceSolveIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NNLSWorkspace.SolveInto allocates %.1f/op in steady state, want 0", allocs)
-	}
-}
-
-func TestBoundedSolveIntoAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a, b := randSystem(rng, 60, 11)
-	upper := make([]float64, 11)
-	for j := range upper {
-		upper[j] = 0.25
-	}
-	ws := NewNNLSWorkspace(60, 11)
-	x := make([]float64, 11)
-	if err := ws.BoundedSolveInto(x, a, b, upper); err != nil {
-		t.Fatalf("warm-up BoundedSolveInto: %v", err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := ws.BoundedSolveInto(x, a, b, upper); err != nil {
-			t.Fatalf("BoundedSolveInto: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("BoundedSolveInto allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 

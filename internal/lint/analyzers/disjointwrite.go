@@ -17,9 +17,8 @@ var DisjointWrite = &lint.Analyzer{
 	Name: "disjointwrite",
 	Doc: `flags non-index-derived writes to captured state in parallel closures.
 
-For every function literal passed to parallel.ForEach / ForEachWorker / Map /
-MapPool / SumOrdered (package functions and *Pool methods alike), the closure
-body is scanned for writes to variables declared outside it. A write is legal
+For every function literal passed to parallel.ForEach / ForEachWorker / Map
+(package functions and *Pool methods alike), the closure body is scanned for writes to variables declared outside it. A write is legal
 only when it lands in a slot derived from the closure's loop parameters: a
 slice/array element whose index expression mentions i or w (directly or
 through locals assigned from them, e.g. r := i*stride; buf[r] = v), or memory
@@ -39,14 +38,12 @@ call and must be annotated where its guarded writes occur, with
 }
 
 // parallelEntryPoints are the worker-pool loop functions whose final
-// argument is the per-item closure. Both package-level wrappers and *Pool
+// argument is the per-item closure. Package-level functions and *Pool
 // methods share these names.
 var parallelEntryPoints = map[string]bool{
 	"ForEach":       true,
 	"ForEachWorker": true,
 	"Map":           true,
-	"MapPool":       true,
-	"SumOrdered":    true,
 }
 
 func runDisjointWrite(pass *lint.Pass) error {
@@ -122,7 +119,7 @@ func (dw *disjointWriteCheck) run() {
 	dw.aliasShared = make(map[types.Object]bool)
 	dw.aliasDerived = make(map[types.Object]bool)
 
-	// Every callback parameter is an index seed: ForEach/Map/SumOrdered pass
+	// Every callback parameter is an index seed: ForEach/Map pass
 	// (i), ForEachWorker passes (worker, i) — per-worker scratch indexed by
 	// w is as disjoint as per-item slots indexed by i.
 	if dw.lit.Type.Params != nil {

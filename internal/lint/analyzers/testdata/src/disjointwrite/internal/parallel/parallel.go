@@ -36,11 +36,6 @@ func ForEachWorker(n int, fn func(worker, i int) error) error {
 
 // Map runs fn for every index and returns the results in index order.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapPool[T](nil, n, fn)
-}
-
-// MapPool is Map on an explicit pool.
-func MapPool[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	for i := 0; i < n; i++ {
 		v, err := fn(i)
@@ -50,17 +45,4 @@ func MapPool[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// SumOrdered folds per-item partial sums in index order.
-func SumOrdered(n int, fn func(i int) (float64, error)) (float64, error) {
-	var s float64
-	for i := 0; i < n; i++ {
-		v, err := fn(i)
-		if err != nil {
-			return 0, err
-		}
-		s += v
-	}
-	return s, nil
 }

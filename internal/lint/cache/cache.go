@@ -37,10 +37,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"gpupower/internal/lint"
-	"gpupower/internal/parallel"
 )
 
 // SchemaVersion invalidates every entry when the cache layout or the engine's
@@ -65,15 +63,13 @@ func (s Stats) String() string {
 // runner.Run(loader.LoadAll()) — same diagnostics, same order — with
 // loader.TypeCheckedPaths() staying empty for fully-warm runs.
 //
-// Groups are processed concurrently through internal/parallel: keys are
-// hashed up-front (serial — memoized across the shared import closure, and
-// cheap next to type-checking), then each group independently replays from
-// disk or analyzes from source, with its result landing in its own slot.
-// Slots merge in path order and sort once, so the report is byte-identical
-// to the sequential-mode run. Hit/miss/corrupt tallies go through atomic
-// counters (snapshotted into Stats at the end) and entry writes go through
-// write-then-rename, so concurrent groups can neither tear the counters nor
-// a cache file; distinct groups never share an entry file.
+// Groups run in path order. Each one's key is hashed from ImportsOnly
+// parses (memoized across the shared import closure, and cheap next to
+// type-checking); a hit replays the group from disk, a miss analyzes it
+// from source. Results merge in path order and sort once. Run is
+// single-goroutine, like the Loader and Runner it drives; entry writes go
+// through write-then-rename, so a crashed or concurrent run never reads a
+// torn cache file.
 func Run(loader *lint.Loader, runner *lint.Runner, dir string) (*lint.Result, *Stats, error) {
 	paths, err := loader.Discover()
 	if err != nil {
@@ -85,64 +81,34 @@ func Run(loader *lint.Loader, runner *lint.Runner, dir string) (*lint.Result, *S
 	h := &hasher{loader: loader, fset: token.NewFileSet(), keys: make(map[string]string), visiting: make(map[string]bool)}
 	fingerprint := runnerFingerprint(runner, loader.Tests)
 
-	// Phase 1 (serial): resolve every group's content key. The hasher memoizes
-	// per-path keys across the whole closure, so this is one pass over the
-	// sources with ImportsOnly parses — milliseconds against the seconds of
-	// type-checking it lets phase 2 skip or parallelize.
-	keys := make([]string, len(paths))
-	keyErrs := make([]error, len(paths))
-	for i, path := range paths {
-		keys[i], keyErrs[i] = h.groupKey(path, fingerprint)
-	}
-
-	var hits, misses, corrupt atomic.Int64
-	results := make([]*lint.Result, len(paths))
-	if err := parallel.ForEach(len(paths), func(i int) error {
-		path := paths[i]
-		if keyErrs[i] != nil {
-			// Hashing trouble (unreadable file, import cycle in a broken
-			// tree): run the group uncached; the loader will produce the
-			// authoritative error if there is one.
-			gr, err := runGroup(loader, runner, path)
-			if err != nil {
-				return err
+	stats := &Stats{Groups: len(paths)}
+	res := &lint.Result{}
+	for _, path := range paths {
+		// A group whose key fails (unreadable file, import cycle in a
+		// broken tree) runs uncached; the loader will produce the
+		// authoritative error if there is one.
+		key, keyErr := h.groupKey(path, fingerprint)
+		file := ""
+		if keyErr == nil {
+			file = entryFile(dir, path, key)
+			if cached, ok := readEntry(file, key); ok {
+				stats.Hits++
+				res.Merge(cached.result(loader.RootDir))
+				continue
+			} else if _, statErr := os.Stat(file); statErr == nil {
+				stats.Corrupt++
+				os.Remove(file)
 			}
-			misses.Add(1)
-			results[i] = gr
-			return nil
-		}
-		file := entryFile(dir, path, keys[i])
-		if cached, ok := readEntry(file, keys[i]); ok {
-			hits.Add(1)
-			results[i] = cached.result(loader.RootDir)
-			return nil
-		} else if _, statErr := os.Stat(file); statErr == nil {
-			corrupt.Add(1)
-			os.Remove(file)
 		}
 		gr, err := runGroup(loader, runner, path)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		misses.Add(1)
-		results[i] = gr
-		if len(gr.DirectiveErrors) == 0 {
-			writeEntry(file, newEntry(keys[i], path, gr, loader.RootDir))
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	stats := &Stats{
-		Groups:  len(paths),
-		Hits:    int(hits.Load()),
-		Misses:  int(misses.Load()),
-		Corrupt: int(corrupt.Load()),
-	}
-	res := &lint.Result{}
-	for _, gr := range results {
+		stats.Misses++
 		res.Merge(gr)
+		if file != "" && len(gr.DirectiveErrors) == 0 {
+			writeEntry(file, newEntry(key, path, gr, loader.RootDir))
+		}
 	}
 	lint.SortDiagnostics(res.Diagnostics)
 	return res, stats, nil

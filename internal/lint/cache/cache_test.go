@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -147,26 +149,121 @@ func Use(x float64) float64 { return a.Scale(x) + 2 }
 	sameDiags(t, "after editing a", after, cold)
 }
 
+// manyGroupTree synthesizes a module with n sibling packages, each carrying
+// one floateq finding, one suppressed finding and a stdlib import, so a
+// slip in the order groups merge in would show in the report.
+func manyGroupTree(n int) map[string]string {
+	tree := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		tree[fmt.Sprintf("p%02d/p.go", i)] = fmt.Sprintf(`package p%02d
+
+import "math"
+
+// Eq is this group's deliberate floateq finding.
+func Eq(x, y float64) bool { return x == y }
+
+// Near is the suppressed twin, so Suppressed counts must merge too.
+func Near(x, y float64) bool {
+	return math.Abs(x-y) == 0 //lint:ignore floateq cache test: suppression must merge deterministically
+}
+`, i)
+	}
+	return tree
+}
+
+// renderText renders a result exactly as the CLI would, so comparisons are
+// over the bytes a user sees, not a lossy summary.
+func renderText(t *testing.T, res *lint.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := lint.WriteText(&buf, "", res.Diagnostics); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// plainColdWarm lints the module at root three ways — the plain engine,
+// then the cached engine cold and warm over a fresh facts directory — after
+// checking the fixture's diagnostic count and the cache's miss/hit counts.
+func plainColdWarm(t *testing.T, label, root string, groups, diags int) (plain, cold, warm *lint.Result) {
+	t.Helper()
+	pkgs, err := lint.NewLoader(root, "example.com/m").LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err = newRunner().Run(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(plain.Diagnostics); got != diags {
+		t.Fatalf("%s: fixture produced %d diagnostics, want %d", label, got, diags)
+	}
+
+	facts := t.TempDir()
+	cold, stats, _ := runCached(t, root, facts)
+	if stats.Misses != groups || stats.Hits != 0 {
+		t.Fatalf("%s: cold cached run: %+v, want %d misses", label, *stats, groups)
+	}
+	warm, stats, _ = runCached(t, root, facts)
+	if stats.Hits != groups || stats.Misses != 0 || stats.Corrupt != 0 {
+		t.Fatalf("%s: warm cached run: %+v, want %d hits", label, *stats, groups)
+	}
+	return plain, cold, warm
+}
+
+// sameReport fails unless got renders to the same bytes as want and carries
+// the same suppression count.
+func sameReport(t *testing.T, label string, got, want *lint.Result) {
+	t.Helper()
+	if g, w := renderText(t, got), renderText(t, want); !bytes.Equal(g, w) {
+		t.Errorf("%s: report differs\ngot:\n%s\nwant:\n%s", label, g, w)
+	}
+	if got.Suppressed != want.Suppressed {
+		t.Errorf("%s: suppressed=%d, want %d", label, got.Suppressed, want.Suppressed)
+	}
+}
+
 // TestCacheMatchesUncachedRun pins byte-identical reports: the cached engine
-// and the plain engine must agree on an unchanged tree, both cold and warm.
+// and the plain engine must render the same report, with the same
+// suppression count, on an unchanged tree, both cold and warm.
 func TestCacheMatchesUncachedRun(t *testing.T) {
-	root, facts := t.TempDir(), t.TempDir()
-	writeTree(t, root, twoPackageTree())
-
-	plainLoader := lint.NewLoader(root, "example.com/m")
-	pkgs, err := plainLoader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name          string
+		tree          map[string]string
+		groups, diags int
+	}{
+		{"two packages", twoPackageTree(), 2, 1},
+		{"twelve groups", manyGroupTree(12), 12, 12},
+	} {
+		root := t.TempDir()
+		writeTree(t, root, tc.tree)
+		plain, cold, warm := plainColdWarm(t, tc.name, root, tc.groups, tc.diags)
+		sameReport(t, tc.name+": cold cached vs plain", cold, plain)
+		sameReport(t, tc.name+": warm cached vs plain", warm, plain)
 	}
-	plain, err := newRunner().Run(pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	cold, _, _ := runCached(t, root, facts)
-	sameDiags(t, "cold vs plain", cold, plain)
-	warm, _, _ := runCached(t, root, facts)
-	sameDiags(t, "warm vs plain", warm, plain)
+// TestParallelOutputByteIdenticalToSerial pins that the linter's report does
+// not depend on the cores the process has: the plain, cold-cached and
+// warm-cached reports over the twelve-group tree at GOMAXPROCS 4 must be
+// byte-identical to those at GOMAXPROCS 1, where internal/parallel's pool
+// degenerates to its inline serial path. The engine is single-goroutine, so
+// this guards against a fan-out coming back whose merge order leaks
+// scheduling into the report.
+func TestParallelOutputByteIdenticalToSerial(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, manyGroupTree(12))
+	run := func(procs int) (plain, cold, warm *lint.Result) {
+		t.Helper()
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		return plainColdWarm(t, fmt.Sprintf("GOMAXPROCS=%d", procs), root, 12, 12)
+	}
+	serialPlain, serialCold, serialWarm := run(1)
+	parPlain, parCold, parWarm := run(4)
+	sameReport(t, "plain Runner.Run, GOMAXPROCS 4 vs 1", parPlain, serialPlain)
+	sameReport(t, "cache.Run cold, GOMAXPROCS 4 vs 1", parCold, serialCold)
+	sameReport(t, "cache.Run warm, GOMAXPROCS 4 vs 1", parWarm, serialWarm)
 }
 
 // TestCorruptEntryRecovery truncates one entry on disk: the run must treat

@@ -34,10 +34,11 @@ import (
 // type graph produced the objects — which is why the store hangs off the
 // Runner (one per run) rather than off the analyzers package: a process that
 // runs the engine repeatedly (tests, a long-running embedding) must not pin
-// every run's type graph and ASTs for its lifetime. The store is
-// mutex-guarded for the parallel engine; determinism under concurrent groups
-// is the analyzers' responsibility (chain-dependent "tainted" verdicts are
-// never stored).
+// every run's type graph and ASTs for its lifetime. The engine runs groups
+// serially, but FactStore is exported, so its methods still lock.
+// Determinism is the analyzers' responsibility: chain-dependent "tainted"
+// verdicts are never stored, so no fact depends on which groups ran before
+// it — a warm cache run analyzes only the groups that missed.
 type FactStore struct {
 	mu sync.Mutex
 	m  map[any]any

@@ -9,9 +9,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package (plus, when the directory has
@@ -35,7 +35,6 @@ type Package struct {
 	loader     *Loader     // back-link for Dep resolution
 	deps       []string    // local import paths, recorded at load time
 	xtestFiles []*ast.File // package foo_test files, hoisted into a sibling Package by LoadAll
-	xtestMu    sync.Mutex  // guards xtestPkg memoization under concurrent groups
 	xtestPkg   *Package    // memoized external-test sibling, built on first LoadPackages
 }
 
@@ -72,17 +71,14 @@ func (p *Package) Dep(path string) (*Package, bool) {
 
 // Loader parses and type-checks packages of a single module (or of a
 // GOPATH-style fixture tree) without any toolchain dependency beyond the
-// standard library. Local imports are resolved recursively from source;
+// standard library. Local imports are loaded recursively from source and
+// memoized, so each package is parsed and type-checked once per Loader;
 // everything else is delegated to importer.Default() with a source-importer
 // fallback.
 //
-// The loader is safe for concurrent use: each package is parsed and
-// type-checked exactly once (single-flight — concurrent requests for the
-// same path block on the first one), the shared stdlib importers are
-// serialized, and a wait-graph check turns a cross-goroutine import cycle
-// into the same "import cycle" error the recursive case produces instead
-// of a deadlock. token.FileSet is internally synchronized, so one position
-// table serves all goroutines.
+// A Loader is single-goroutine state, like core.FitWorkspace: the lint
+// engine loads and analyzes directory groups one after another (DESIGN.md
+// §9.13 says why).
 type Loader struct {
 	// RootDir is the directory tree containing the packages.
 	RootDir string
@@ -95,37 +91,21 @@ type Loader struct {
 	// "<path>_test" package.
 	Tests bool
 
-	fset *token.FileSet
-
-	// mu guards entries and waits. Entries are claimed under mu and
-	// completed by closing their done channel; waits records, for EVERY
-	// in-progress path a blocked goroutine has claimed (its whole load
-	// stack, not just the innermost entry), the path that goroutine is
-	// currently blocked on, so a would-be waiter on any of those entries
-	// can detect a cross-goroutine wait cycle.
-	mu      sync.Mutex
-	entries map[string]*pkgEntry
-	waits   map[string]string
-
-	// stdMu serializes the shared stdlib importers, which make no
-	// concurrency promises of their own.
-	stdMu  sync.Mutex
-	std    types.Importer
-	srcImp types.Importer
-
-	// checkedMu guards checked: every path handed to the type checker, in
-	// check order. The fact cache's warm-run integration test asserts this
-	// stays empty when nothing changed.
-	checkedMu sync.Mutex
-	checked   []string
+	fset    *token.FileSet
+	loaded  map[string]loadResult // finished loads by import path, errors included
+	loading []string              // in-progress loads, outermost first: an import of one is a cycle
+	std     types.Importer
+	srcImp  types.Importer
+	// checked is every path handed to the type checker, in check order. The
+	// fact cache's warm-run integration test asserts this stays empty when
+	// nothing changed.
+	checked []string
 }
 
-// pkgEntry is the single-flight slot for one package: the goroutine that
-// claims it closes done after pkg/err are final; everyone else waits.
-type pkgEntry struct {
-	done chan struct{}
-	pkg  *Package
-	err  error
+// loadResult is the memoized outcome of one package load.
+type loadResult struct {
+	pkg *Package
+	err error
 }
 
 // NewLoader returns a loader over rootDir. rootPath is the module path prefix
@@ -136,8 +116,7 @@ func NewLoader(rootDir, rootPath string) *Loader {
 		RootPath: rootPath,
 		Tests:    true,
 		fset:     token.NewFileSet(),
-		entries:  make(map[string]*pkgEntry),
-		waits:    make(map[string]string),
+		loaded:   make(map[string]loadResult),
 	}
 }
 
@@ -216,18 +195,14 @@ func (l *Loader) LoadPackages(path string) ([]*Package, error) {
 	}
 	out := []*Package{pkg}
 	if len(pkg.xtestFiles) > 0 {
-		pkg.xtestMu.Lock()
 		if pkg.xtestPkg == nil {
 			xp, err := l.checkXTest(pkg)
 			if err != nil {
-				pkg.xtestMu.Unlock()
 				return nil, fmt.Errorf("lint: load %s external tests: %w", path, err)
 			}
 			pkg.xtestPkg = xp
 		}
-		xp := pkg.xtestPkg
-		pkg.xtestMu.Unlock()
-		out = append(out, xp)
+		out = append(out, pkg.xtestPkg)
 	}
 	return out, nil
 }
@@ -242,29 +217,14 @@ func (l *Loader) DirFor(path string) (string, bool) { return l.pathToDir(path) }
 // their "<path>_test" name). A warm cache run over an unchanged tree keeps
 // this empty — the property the incremental engine exists to provide.
 func (l *Loader) TypeCheckedPaths() []string {
-	l.checkedMu.Lock()
-	defer l.checkedMu.Unlock()
 	return append([]string(nil), l.checked...)
 }
 
 // completed returns the loaded package for path only if its load already
-// finished; it never blocks and never starts a load.
+// finished; it never starts a load.
 func (l *Loader) completed(path string) (*Package, bool) {
-	l.mu.Lock()
-	e, ok := l.entries[path]
-	l.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		if e.pkg == nil {
-			return nil, false
-		}
-		return e.pkg, true
-	default:
-		return nil, false
-	}
+	r := l.loaded[path]
+	return r.pkg, r.pkg != nil
 }
 
 func (l *Loader) relToPath(rel string) string {
@@ -308,85 +268,24 @@ func (l *Loader) local(path string) bool {
 }
 
 // Load parses and type-checks the package at the given import path (module
-// packages only; stdlib goes through the importer delegation). Safe for
-// concurrent use; concurrent loads of the same path coalesce into one.
+// packages only; stdlib goes through the importer delegation). Results,
+// errors included, are memoized: a repeated Load returns the same *Package.
 func (l *Loader) Load(path string) (*Package, error) {
-	return l.load(path, nil)
+	if r, ok := l.loaded[path]; ok {
+		return r.pkg, r.err
+	}
+	if slices.Contains(l.loading, path) {
+		return nil, fmt.Errorf("import cycle through %q", path)
+	}
+	l.loading = append(l.loading, path)
+	pkg, err := l.parseAndCheck(path)
+	l.loading = l.loading[:len(l.loading)-1]
+	l.loaded[path] = loadResult{pkg, err}
+	return pkg, err
 }
 
-// load is the single-flight core. stack is the chain of in-progress paths
-// on this goroutine (each one claimed by us), innermost last; it provides
-// same-goroutine cycle detection, and its top names the entry we own when
-// we must block on another goroutine's load.
-func (l *Loader) load(path string, stack []string) (*Package, error) {
-	for _, s := range stack {
-		if s == path {
-			return nil, fmt.Errorf("import cycle through %q", path)
-		}
-	}
-
-	l.mu.Lock()
-	if e, ok := l.entries[path]; ok {
-		select {
-		case <-e.done:
-			l.mu.Unlock()
-			return e.pkg, e.err
-		default:
-		}
-		// In progress on another goroutine (were it ours, path would be in
-		// stack). Before blocking, walk the wait graph: if the owner of
-		// this entry is (transitively) blocked on a path we own, waiting
-		// would deadlock — that shape only arises from an import cycle
-		// split across goroutines, so report it as one. The visited set
-		// bounds the walk: a closed ring among *other* goroutines' waits
-		// (none of them ours) must not spin us forever under mu.
-		cur := path
-		visited := map[string]bool{}
-		for !visited[cur] {
-			visited[cur] = true
-			next, waiting := l.waits[cur]
-			if !waiting {
-				break
-			}
-			for _, s := range stack {
-				if s == next {
-					l.mu.Unlock()
-					return nil, fmt.Errorf("import cycle through %q", path)
-				}
-			}
-			cur = next
-		}
-		// Record the edge for every entry we own, not just the innermost:
-		// a goroutine blocked here is what's stalling ALL of its claimed
-		// in-progress loads, and a waiter can arrive at any one of them. The
-		// check-then-record is atomic under mu, so of two goroutines whose
-		// waits would close a cycle, the later one always sees the earlier
-		// one's edges and errors out instead of blocking.
-		for _, s := range stack {
-			l.waits[s] = path
-		}
-		l.mu.Unlock()
-		<-e.done
-		if len(stack) > 0 {
-			l.mu.Lock()
-			for _, s := range stack {
-				delete(l.waits, s)
-			}
-			l.mu.Unlock()
-		}
-		return e.pkg, e.err
-	}
-	e := &pkgEntry{done: make(chan struct{})}
-	l.entries[path] = e
-	l.mu.Unlock()
-
-	e.pkg, e.err = l.loadClaimed(path, append(stack, path))
-	close(e.done)
-	return e.pkg, e.err
-}
-
-// loadClaimed parses and type-checks one package; the caller owns its entry.
-func (l *Loader) loadClaimed(path string, stack []string) (*Package, error) {
+// parseAndCheck parses and type-checks one package.
+func (l *Loader) parseAndCheck(path string) (*Package, error) {
 	dir, ok := l.pathToDir(path)
 	if !ok {
 		return nil, fmt.Errorf("no package directory for %q under %s", path, l.RootDir)
@@ -420,7 +319,7 @@ func (l *Loader) loadClaimed(path string, stack []string) (*Package, error) {
 
 	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, loader: l, xtestFiles: xtest}
 	pkg.deps = l.localImports(path, files)
-	pkg.Types, pkg.Info, pkg.TypeErrors = l.check(path, files, stack)
+	pkg.Types, pkg.Info, pkg.TypeErrors = l.check(path, files)
 	if len(pkg.TypeErrors) > 0 {
 		return pkg, pkg.TypeErrors[0]
 	}
@@ -448,10 +347,8 @@ func (l *Loader) localImports(path string, files []*ast.File) []string {
 }
 
 // check type-checks one set of files as the package named by path.
-func (l *Loader) check(path string, files []*ast.File, stack []string) (*types.Package, *types.Info, []error) {
-	l.checkedMu.Lock()
+func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, []error) {
 	l.checked = append(l.checked, path)
-	l.checkedMu.Unlock()
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -462,10 +359,8 @@ func (l *Loader) check(path string, files []*ast.File, stack []string) (*types.P
 	}
 	var errs []error
 	conf := &types.Config{
-		Importer: importerFunc(func(p string) (*types.Package, error) {
-			return l.importPkg(p, stack)
-		}),
-		Error: func(err error) { errs = append(errs, err) },
+		Importer: importerFunc(l.importPkg),
+		Error:    func(err error) { errs = append(errs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
 	return tpkg, info, errs
@@ -478,7 +373,7 @@ func (l *Loader) check(path string, files []*ast.File, stack []string) (*types.P
 func (l *Loader) checkXTest(pkg *Package) (*Package, error) {
 	xp := &Package{Path: pkg.Path + "_test", Dir: pkg.Dir, Fset: l.fset, Files: pkg.xtestFiles, loader: l}
 	xp.deps = l.localImports(xp.Path, pkg.xtestFiles)
-	xp.Types, xp.Info, xp.TypeErrors = l.check(xp.Path, pkg.xtestFiles, []string{xp.Path})
+	xp.Types, xp.Info, xp.TypeErrors = l.check(xp.Path, pkg.xtestFiles)
 	if len(xp.TypeErrors) > 0 {
 		return xp, xp.TypeErrors[0]
 	}
@@ -486,23 +381,20 @@ func (l *Loader) checkXTest(pkg *Package) (*Package, error) {
 }
 
 // importPkg is the recursive in-module importer: local packages are loaded
-// from source (single-flight memoized), "unsafe" maps to types.Unsafe, and
-// everything else — the standard library — is delegated to
-// importer.Default(), falling back to the slower source importer when no
-// export data is available.
-func (l *Loader) importPkg(path string, stack []string) (*types.Package, error) {
+// from source (memoized), "unsafe" maps to types.Unsafe, and everything
+// else — the standard library — is delegated to importer.Default(), falling
+// back to the slower source importer when no export data is available.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	if l.local(path) {
-		pkg, err := l.load(path, stack)
+		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
 		return pkg.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	if l.std == nil {
 		l.std = importer.Default()
 	}

@@ -3,9 +3,6 @@ package lint
 import (
 	"fmt"
 	"sort"
-	"sync"
-
-	"gpupower/internal/parallel"
 )
 
 // UnusedIgnoreName is the name of the engine-level analyzer that reports
@@ -18,7 +15,8 @@ import (
 const UnusedIgnoreName = "unusedignore"
 
 // Runner applies a set of analyzers to loaded packages and folds the results
-// through the suppression directives.
+// through the suppression directives. Like the Loader whose packages it
+// analyzes, a Runner is single-goroutine state.
 type Runner struct {
 	Analyzers []*Analyzer
 	// Known is the set of analyzer names accepted in //lint:ignore
@@ -28,25 +26,12 @@ type Runner struct {
 	// are not rejected as unknown.
 	Known map[string]bool
 
-	// factsMu guards facts, the cross-package fact store shared by every
-	// pass this Runner creates. Scoping the store to the Runner (rather
-	// than a process global) means its memory — which transitively pins the
-	// Loader's type graph and ASTs — is reclaimable once the run's results
-	// are merged.
-	factsMu sync.Mutex
-	facts   *FactStore
-}
-
-// factStore lazily creates the Runner's run-scoped fact store; RunGroup is
-// called concurrently by the parallel engine and the cache replayer, so the
-// first caller wins under the mutex.
-func (r *Runner) factStore() *FactStore {
-	r.factsMu.Lock()
-	defer r.factsMu.Unlock()
-	if r.facts == nil {
-		r.facts = NewFactStore()
-	}
-	return r.facts
+	// facts is the cross-package fact store shared by every pass this
+	// Runner creates, built on first use. Scoping the store to the Runner
+	// (rather than a process global) means its memory — which transitively
+	// pins the Loader's type graph and ASTs — is reclaimable once the run's
+	// results are merged.
+	facts *FactStore
 }
 
 // Result is the outcome of one lint run.
@@ -95,33 +80,18 @@ func (r *Runner) validate() (map[string]bool, error) {
 // external-test sibling share a directory), each of which is self-contained:
 // //lint:ignore directives only ever suppress diagnostics in their own file,
 // so no suppression crosses a group boundary. This is the property the
-// fact cache (internal/lint/cache) relies on to replay groups independently —
-// and the property that lets groups run concurrently here: they are fanned
-// through internal/parallel with each group's result landing in its own
-// slot, merged in index order and sorted once, so the report is
-// byte-identical to the sequential-mode run regardless of scheduling.
+// fact cache (internal/lint/cache) relies on to replay groups independently.
+// Groups run one after another; their results are merged and sorted once.
 func (r *Runner) Run(pkgs []*Package) (*Result, error) {
 	if _, err := r.validate(); err != nil {
 		return nil, err
 	}
-	groups := GroupByDir(pkgs)
-	results := make([]*Result, len(groups))
-	// Resolve the fact store before fanning out: the lazy init writes a
-	// Runner field, and the closure below must not mutate shared state
-	// through its receiver (disjointwrite's own rule, applied to the engine).
-	facts := r.factStore()
-	if err := parallel.ForEach(len(groups), func(i int) error {
-		gr, err := r.runGroup(groups[i], facts)
-		if err != nil {
-			return err
-		}
-		results[i] = gr
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	res := &Result{}
-	for _, gr := range results {
+	for _, group := range GroupByDir(pkgs) {
+		gr, err := r.RunGroup(group)
+		if err != nil {
+			return nil, err
+		}
 		res.Merge(gr)
 	}
 	SortDiagnostics(res.Diagnostics)
@@ -147,12 +117,9 @@ func GroupByDir(pkgs []*Package) [][]*Package {
 // RunGroup analyzes one directory group (a package plus, possibly, its
 // external-test sibling) and returns a self-contained, sorted result.
 func (r *Runner) RunGroup(pkgs []*Package) (*Result, error) {
-	return r.runGroup(pkgs, r.factStore())
-}
-
-// runGroup is RunGroup with the fact store resolved by the caller; it never
-// writes Runner state, so Run's parallel fan-out can call it from closures.
-func (r *Runner) runGroup(pkgs []*Package, facts *FactStore) (*Result, error) {
+	if r.facts == nil {
+		r.facts = NewFactStore()
+	}
 	known, err := r.validate()
 	if err != nil {
 		return nil, err
@@ -191,7 +158,7 @@ func (r *Runner) runGroup(pkgs []*Package, facts *FactStore) (*Result, error) {
 				Info:     pkg.Info,
 				Deps:     pkg.Dep,
 				diags:    &all,
-				facts:    facts,
+				facts:    r.facts,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)

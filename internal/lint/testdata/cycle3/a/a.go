@@ -1,6 +1,5 @@
 // Package a opens a deliberate three-package import cycle (a → b → c → a),
-// the shape that exercises cross-goroutine cycle detection through an entry
-// that is not the blocked owner's innermost load.
+// which the loader must report as an error whichever package it starts at.
 package a
 
 import "cycle3mod/b"

@@ -37,9 +37,6 @@ import (
 // global (not per-pool) so reproducibility tests can pin the whole engine.
 var sequential atomic.Bool
 
-// maxWorkers, when > 0, caps pool sizing below GOMAXPROCS.
-var maxWorkers atomic.Int64
-
 func init() {
 	if v := os.Getenv("GPUPOWER_SEQUENTIAL"); v == "1" || v == "true" {
 		sequential.Store(true)
@@ -55,34 +52,13 @@ func SetSequential(on bool) (previous bool) {
 	return sequential.Swap(on)
 }
 
-// Sequential reports whether sequential mode is active.
-func Sequential() bool { return sequential.Load() }
-
-// SetMaxWorkers caps the default pool size (0 removes the cap, restoring
-// GOMAXPROCS sizing). It returns the previous cap. The cap never raises
-// the pool above GOMAXPROCS: this is a throttle, not an oversubscription
-// knob.
-func SetMaxWorkers(n int) (previous int) {
-	if n < 0 {
-		n = 0
-	}
-	return int(maxWorkers.Swap(int64(n)))
-}
-
-// Workers returns the effective default pool size: GOMAXPROCS, clipped by
-// SetMaxWorkers, and 1 in sequential mode.
+// Workers returns the effective default pool size: GOMAXPROCS, and 1 in
+// sequential mode.
 func Workers() int {
 	if sequential.Load() {
 		return 1
 	}
-	w := runtime.GOMAXPROCS(0)
-	if cap := int(maxWorkers.Load()); cap > 0 && cap < w {
-		w = cap
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // Pool is a bounded worker pool. The zero value and a nil *Pool both use
@@ -201,18 +177,14 @@ func (p *Pool) ForEachWorker(n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// Map runs fn for every index and returns the results in index order.
+// Map runs fn for every index on the default pool and returns the results
+// in index order.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapPool[T](nil, n, fn)
-}
-
-// MapPool is Map on an explicit pool.
-func MapPool[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	err := p.ForEach(n, func(i int) error {
+	err := ForEach(n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err
@@ -270,27 +242,3 @@ func (p *PerWorker[T]) Ensure(n int) {
 
 // Get returns worker w's value. Ensure(w+1) must have happened first.
 func (p *PerWorker[T]) Get(w int) T { return p.vals[w] }
-
-// SumOrdered folds per-item partial sums in index order: workers compute
-// partial[i] = fn(i) concurrently (disjoint writes), then the fold runs
-// serially from 0 to n-1. The floating-point association therefore matches
-// the serial loop "for i { s += fn(i) }" exactly whenever each fn(i) is
-// itself computed with serial-identical arithmetic.
-func SumOrdered(n int, fn func(i int) (float64, error)) (float64, error) {
-	partial := make([]float64, n)
-	if err := ForEach(n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		partial[i] = v
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, v := range partial {
-		s += v
-	}
-	return s, nil
-}

@@ -2,24 +2,19 @@ package gpupower
 
 import "gpupower/internal/parallel"
 
-// Parallelism controls for the estimation engine. Model fitting, the DVFS
-// operating-point sweep and the experiment drivers fan their independent
-// sub-problems out across a bounded worker pool sized from GOMAXPROCS.
+// Parallelism controls for the estimation engine. Model fitting (per
+// V-F configuration), fleet fitting, sharded cluster simulation and the
+// experiment drivers fan their independent sub-problems out across a
+// bounded worker pool sized from GOMAXPROCS.
 // Every parallel loop writes disjoint result slots and folds reductions in
 // index order, so results are bitwise-identical to sequential execution —
-// these knobs trade latency, never accuracy.
+// SetSequential trades latency, never accuracy.
 
 // SetSequential forces every engine loop onto the inline serial path
 // (also enabled by GPUPOWER_SEQUENTIAL=1 in the environment). It returns
 // the previous setting; reproducibility harnesses use it as the oracle
 // that parallel runs are compared against.
 func SetSequential(on bool) (previous bool) { return parallel.SetSequential(on) }
-
-// SetMaxWorkers caps the engine's worker pool below GOMAXPROCS (0 removes
-// the cap). It returns the previous cap. Use it to keep the fitting
-// pipeline from saturating a host that is co-scheduled with the workloads
-// being modelled.
-func SetMaxWorkers(n int) (previous int) { return parallel.SetMaxWorkers(n) }
 
 // EngineWorkers reports the effective worker-pool size the engine would
 // use for a large loop right now.
