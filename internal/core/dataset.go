@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"gpupower/internal/backend"
 	"gpupower/internal/cupti"
@@ -49,8 +50,8 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("core: power row %d has %d entries, want %d", i, len(row), len(d.Configs))
 		}
 		for j, p := range row {
-			if p < 0 {
-				return fmt.Errorf("core: negative power %g for benchmark %d at config %d", p, i, j)
+			if !(p >= 0) || math.IsInf(p, 1) {
+				return fmt.Errorf("core: power %g for benchmark %d at config %d is not finite and non-negative", p, i, j)
 			}
 		}
 	}

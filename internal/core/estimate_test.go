@@ -290,6 +290,8 @@ func TestDatasetValidate(t *testing.T) {
 		"row mismatch":   func(d *Dataset) { d.Power = d.Power[:2] },
 		"ragged row":     func(d *Dataset) { d.Power[0] = d.Power[0][:3] },
 		"negative power": func(d *Dataset) { d.Power[1][2] = -5 },
+		"NaN power":      func(d *Dataset) { d.Power[1][2] = math.NaN() },
+		"infinite power": func(d *Dataset) { d.Power[1][2] = math.Inf(1) },
 		"bad utilization": func(d *Dataset) {
 			d.Benchmarks[0].Util = Utilization{hw.SP: 2}
 		},
@@ -299,6 +301,36 @@ func TestDatasetValidate(t *testing.T) {
 		mod(dd)
 		if err := dd.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestEstimateRejectsNonFiniteMeasurements pins the input guard: one NaN or
+// +Inf power sample, or one NaN utilization, must fail the fit rather than
+// come back as a "converged" all-zero or infinite model.
+func TestEstimateRejectsNonFiniteMeasurements(t *testing.T) {
+	truth := defaultSyntheticTruth()
+	cases := []struct {
+		name string
+		mod  func(d *Dataset)
+	}{
+		{"NaN power", func(d *Dataset) { d.Power[3][1] = math.NaN() }},
+		{"+Inf power", func(d *Dataset) { d.Power[3][1] = math.Inf(1) }},
+		{"NaN utilization", func(d *Dataset) { d.Benchmarks[2].Util[hw.DRAM] = math.NaN() }},
+	}
+	for _, tc := range cases {
+		d := syntheticDataset(truth, 12, 0.01, 42)
+		if _, err := Estimate(context.Background(), d, nil); err != nil {
+			t.Fatalf("%s: unmodified dataset: %v", tc.name, err)
+		}
+		tc.mod(d)
+		m, err := Estimate(context.Background(), d, nil)
+		if err == nil {
+			t.Errorf("%s: Estimate accepted the dataset (β = %v)", tc.name, m.Beta)
+			continue
+		}
+		if m != nil {
+			t.Errorf("%s: Estimate returned a model with its error %v", tc.name, err)
 		}
 	}
 }

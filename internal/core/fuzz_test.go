@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gpupower/internal/hw"
@@ -42,6 +43,12 @@ func FuzzUtilizationFromMetrics(f *testing.F) {
 	f.Add(1e6, 1e5, 1e5, 1e4, 1e3, 1e3, 768.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(-1.0, 1e300, -5.0, 1.0, 2.0, 3.0, 512.0)
+	// A NaN counter, and an infinite SP instruction count whose INT/SP split
+	// is Inf/Inf: both used to come back as NaN rates with no error.
+	f.Add(1e6, math.NaN(), 1e5, 1e4, 1e3, 1e3, 768.0)
+	f.Add(1e6, 1e5, math.Inf(1), 1e4, 1e3, 1e3, 768.0)
+	f.Add(math.NaN(), 1e5, 1e5, 1e4, 1e3, 1e3, 768.0)
+	f.Add(1e6, 1e5, 1e5, 1e4, 1e3, 1e3, math.Inf(1))
 
 	dev := hw.GTXTitanX()
 	ref := dev.DefaultConfig()

@@ -167,10 +167,11 @@ func (m *Model) InvalidateSurfaces() {
 	atomic.StoreUint64(&m.gen, atomic.AddUint64(&modelGenCounter, 1))
 }
 
-// Validate checks the model for physical consistency.
+// Validate checks the model for physical consistency: finite non-negative
+// β and ω, a positive L2 peak and finite positive voltages.
 func (m *Model) Validate() error {
 	for i, b := range m.Beta {
-		if b < 0 || math.IsNaN(b) {
+		if !finiteNonNeg(b) {
 			return fmt.Errorf("core: β%d = %g is not physical", i, b)
 		}
 	}
@@ -179,31 +180,34 @@ func (m *Model) Validate() error {
 		if !ok {
 			return fmt.Errorf("core: missing ω for %s", c)
 		}
-		if w < 0 || math.IsNaN(w) {
+		if !finiteNonNeg(w) {
 			return fmt.Errorf("core: ω_%s = %g is not physical", c, w)
 		}
 	}
-	if m.OmegaMem < 0 || math.IsNaN(m.OmegaMem) {
+	if !finiteNonNeg(m.OmegaMem) {
 		return fmt.Errorf("core: ω_mem = %g is not physical", m.OmegaMem)
 	}
 	if m.Voltages == nil {
 		return fmt.Errorf("core: model has no voltage table")
 	}
-	if m.L2BytesPerCycle <= 0 {
-		return fmt.Errorf("core: L2 bytes/cycle %g must be positive", m.L2BytesPerCycle)
+	if !(m.L2BytesPerCycle > 0) || math.IsInf(m.L2BytesPerCycle, 1) {
+		return fmt.Errorf("core: L2 bytes/cycle %g must be finite and positive", m.L2BytesPerCycle)
 	}
 	for mi := range m.Voltages.VCore {
 		for ci := range m.Voltages.VCore[mi] {
-			if v := m.Voltages.VCore[mi][ci]; v <= 0 {
-				return fmt.Errorf("core: V̄core %g at index (%d,%d) not positive", v, mi, ci)
+			if v := m.Voltages.VCore[mi][ci]; !(v > 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("core: V̄core %g at index (%d,%d) not finite and positive", v, mi, ci)
 			}
-			if v := m.Voltages.VMem[mi][ci]; v <= 0 {
-				return fmt.Errorf("core: V̄mem %g at index (%d,%d) not positive", v, mi, ci)
+			if v := m.Voltages.VMem[mi][ci]; !(v > 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("core: V̄mem %g at index (%d,%d) not finite and positive", v, mi, ci)
 			}
 		}
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether v is a finite, non-negative coefficient.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Breakdown is the model's power decomposition at one configuration
 // (paper Figs. 5B and 10): the constant share (static + idle V-F power of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gpupower/internal/hw"
@@ -137,6 +138,11 @@ func TestModelValidate(t *testing.T) {
 		"missing omega":    func(m *Model) { delete(m.OmegaCore, hw.SF) },
 		"negative omega":   func(m *Model) { m.OmegaCore[hw.SP] = -0.1 },
 		"negative omegaM":  func(m *Model) { m.OmegaMem = -1 },
+		"infinite beta":    func(m *Model) { m.Beta[3] = math.Inf(1) },
+		"infinite omega":   func(m *Model) { m.OmegaCore[hw.L2] = math.Inf(1) },
+		"NaN omegaM":       func(m *Model) { m.OmegaMem = math.NaN() },
+		"infinite voltage": func(m *Model) { m.Voltages.VCore[0][0] = math.Inf(1) },
+		"NaN mem voltage":  func(m *Model) { m.Voltages.VMem[0][0] = math.NaN() },
 		"nil voltages":     func(m *Model) { m.Voltages = nil },
 		"zero l2 peak":     func(m *Model) { m.L2BytesPerCycle = 0 },
 		"zero voltage":     func(m *Model) { m.Voltages.VCore[0][0] = 0 },

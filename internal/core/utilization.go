@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gpupower/internal/cupti"
 	"gpupower/internal/hw"
@@ -32,14 +33,15 @@ func (u Utilization) Validate() error {
 		if !c.Valid() {
 			return fmt.Errorf("core: utilization has invalid component %v", c)
 		}
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			return fmt.Errorf("core: utilization of %s is %g, outside [0,1]", c, v)
 		}
 	}
 	return nil
 }
 
-// clamp01 limits noisy event-derived rates into the physical range.
+// clamp01 limits noisy event-derived rates into the physical range. It
+// passes NaN through; UtilizationFromMetrics rejects it.
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -103,5 +105,12 @@ func UtilizationFromMetrics(dev *hw.Device, ref hw.Config, m map[cupti.Metric]fl
 	u[hw.L2] = clamp01(l2Bytes / seconds / (ref.CoreMHz * 1e6 * l2BytesPerCycle))
 	u[hw.DRAM] = clamp01(dramBytes / seconds / dev.PeakDRAMBandwidth(ref.MemMHz))
 
+	// A NaN counter, or counters whose ratios overflow to Inf/Inf, leave a
+	// NaN rate that no clamp can repair.
+	for _, c := range hw.Components {
+		if math.IsNaN(u[c]) {
+			return nil, fmt.Errorf("core: metrics give a NaN %s utilization", c)
+		}
+	}
 	return u, nil
 }

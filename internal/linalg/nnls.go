@@ -36,8 +36,8 @@ func nnls(a *Matrix, b []float64, solve passiveSolver) ([]float64, error) {
 }
 
 // NNLSWorkspace holds every buffer the Lawson–Hanson active-set iteration
-// needs — gradient, residual, passive/blocked sets, the passive submatrix
-// and its QR factorization — preallocated for a maximum system size.
+// needs — gradient, residual, passive/blocked sets and the QR factorization
+// of the passive columns — preallocated for a maximum system size.
 // SolveInto then runs with zero steady-state heap allocations, which is
 // what keeps the estimator's step-1/step-3 refits off the allocator
 // (DESIGN.md §10).
@@ -50,10 +50,7 @@ type NNLSWorkspace struct {
 	w, z, zs  []float64 // maxCols
 	passive   []bool
 	blocked   []bool
-	idx       []int
 	resid, ax []float64 // maxRows
-	subData   []float64 // maxRows*maxCols
-	sub       Matrix    // current passive-submatrix view over subData
 	qr        *QRWorkspace
 
 	// testSolve, when non-nil, replaces the passive solve (test injection).
@@ -78,10 +75,8 @@ func NewNNLSWorkspace(maxRows, maxCols int) *NNLSWorkspace {
 		zs:      make([]float64, maxCols),
 		passive: make([]bool, maxCols),
 		blocked: make([]bool, maxCols),
-		idx:     make([]int, 0, maxCols),
 		resid:   make([]float64, maxRows),
 		ax:      make([]float64, maxRows),
-		subData: make([]float64, maxRows*maxCols),
 		qr:      NewQRWorkspace(qrRows, maxCols),
 	}
 }
@@ -349,36 +344,32 @@ func (ws *NNLSWorkspace) solvePassive(a *Matrix, b []float64, passive []bool) ([
 }
 
 // solvePassiveInto solves the least-squares problem restricted to the
-// passive columns into ws.z, gathering the submatrix into the workspace and
-// factorizing with the preallocated QR — no allocation. The gathered values
-// and the factorization kernel are identical to the historical
-// CopyColumns + LeastSquares path, so the solution is bitwise-equal.
+// passive columns into ws.z, gathering them in ascending order straight
+// into the preallocated QR's column-major storage and factorizing in place
+// — no allocation. The gathered values and the factorization kernel are
+// those of the CopyColumns + LeastSquares path, so the solution is
+// bitwise-equal. A passive set wider than the system is tall returns
+// ErrRankDeficient, which the active-set loop treats like any other
+// singular passive set.
 func (ws *NNLSWorkspace) solvePassiveInto(a *Matrix, b []float64, passive []bool) error {
-	m, n := a.Rows(), a.Cols()
-	idx := ws.idx[:0]
+	n := a.Cols()
+	idx := ws.qr.cols[:n]
+	k := 0
 	for j := 0; j < n; j++ {
 		if passive[j] {
-			//gpower:allocs appends into ws.idx, preallocated to maxCols, so at most n ≤ maxCols entries stay in capacity
-			idx = append(idx, j)
+			idx[k] = j
+			k++
 		}
 	}
+	idx = idx[:k]
 	z := ws.z[:n]
 	for j := range z {
 		z[j] = 0
 	}
-	if len(idx) == 0 {
+	if k == 0 {
 		return nil
 	}
-	k := len(idx)
-	ws.sub = Matrix{rows: m, cols: k, data: ws.subData[:m*k]}
-	for i := 0; i < m; i++ {
-		src := a.data[i*a.cols : (i+1)*a.cols]
-		dst := ws.sub.data[i*k : (i+1)*k]
-		for p, j := range idx {
-			dst[p] = src[j]
-		}
-	}
-	if err := ws.qr.Factorize(&ws.sub); err != nil {
+	if err := ws.qr.factorizeColumns(a, idx); err != nil {
 		return err
 	}
 	zs := ws.zs[:k]

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -246,5 +247,44 @@ func TestNNLSRHSLengthMismatch(t *testing.T) {
 	a := NewMatrix(3, 2)
 	if _, err := NNLS(a, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// TestNNLSWideSystemRankSentinel covers a passive set with more columns
+// than the system has rows. The passive solve returns the ErrRankDeficient
+// sentinel, and a warm start seeded with such a set falls back to the cold
+// iteration, which still fits b exactly (the rows are independent) and
+// allocates nothing on the way.
+func TestNNLSWideSystemRankSentinel(t *testing.T) {
+	a, _ := NewMatrixFromRows([][]float64{
+		{1, 0, 1, 2},
+		{0, 1, 1, 1},
+	})
+	b := []float64{3, 2}
+	ws := NewNNLSWorkspace(2, 4)
+	if err := ws.solvePassiveInto(a, b, []bool{true, true, true, false}); !errors.Is(err, ErrRankDeficient) {
+		t.Fatalf("3 passive columns over 2 rows: err = %v, want ErrRankDeficient", err)
+	}
+	x := make([]float64, 4)
+	solve := func() {
+		copy(x, []float64{1, 1, 1, 0}) // a three-column seed: infeasible
+		if err := ws.WarmSolveInto(x, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	ax, _ := a.MulVec(x)
+	for i := range b {
+		if !almostEq(ax[i], b[i], 1e-9) {
+			t.Fatalf("A·x = %v, want %v (x = %v)", ax, b, x)
+		}
+	}
+	for _, v := range x {
+		if v < 0 {
+			t.Fatalf("negative component in %v", x)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, solve); allocs != 0 {
+		t.Fatalf("wide-seed WarmSolveInto allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -12,27 +12,30 @@ var ErrRankDeficient = errors.New("linalg: rank-deficient system")
 
 // QR holds a Householder QR factorization of an m×n matrix (m ≥ n):
 // A = Q·R with Q orthogonal (stored implicitly as Householder reflectors)
-// and R upper triangular.
+// and R upper triangular. The factors are stored column by column: column j
+// is data[j*m : (j+1)*m], holding R's entries above the diagonal and the
+// reflector from the diagonal down, so every kernel pass reads and writes
+// contiguous runs of memory. R's diagonal is kept apart in rdia.
 type QR struct {
-	qr   *Matrix   // packed reflectors below diagonal, R on/above diagonal
+	m, n int
+	data []float64 // column-major packed reflectors and R
 	rdia []float64 // diagonal of R
 }
 
 // qrRowBlock is the fixed row-block length of the Householder kernel's
-// vᵀ·A pass: each block of qrRowBlock rows is summed on its own and the
-// block sums are folded in block order. The blocks depend on the matrix
-// shape alone, and this association is what the committed golden models
-// pin, so it must not change.
+// vᵀ·A pass: each block of qrRowBlock rows, counted from the diagonal, is
+// summed on its own and the block sums are folded in block order. The
+// blocks depend on the matrix shape alone, and this association is what
+// the committed golden models pin, so it must not change.
 const qrRowBlock = 256
 
-// colNorm2 computes the Euclidean norm of rows [k, m) of column k with one
-// scaled sum-of-squares pass (overflow-safe like a Hypot chain, but one
-// division per element and a single Sqrt instead of a libcall per element).
-func colNorm2(qr *Matrix, k int) float64 {
-	m, n := qr.rows, qr.cols
+// colNorm2 computes the Euclidean norm of v with one scaled sum-of-squares
+// pass (overflow-safe like a Hypot chain, but one division per element and
+// a single Sqrt instead of a libcall per element).
+func colNorm2(v []float64) float64 {
 	var mx float64
-	for i := k; i < m; i++ {
-		if a := math.Abs(qr.data[i*n+k]); a > mx {
+	for _, x := range v {
+		if a := math.Abs(x); a > mx {
 			mx = a
 		}
 	}
@@ -40,89 +43,110 @@ func colNorm2(qr *Matrix, k int) float64 {
 		return 0
 	}
 	var ss float64
-	for i := k; i < m; i++ {
-		v := qr.data[i*n+k] / mx
-		ss += v * v
+	for _, x := range v {
+		x /= mx
+		ss += x * x
 	}
 	return mx * math.Sqrt(ss)
 }
 
-// applyReflector applies the column-k Householder reflector (packed in rows
-// [k, m) of column k, pivot on the diagonal) to the trailing columns with a
-// fused two-pass row sweep:
+// applyReflector applies the column-k Householder reflector v (rows
+// [k, m) of column k, pivot first) to each trailing column c in two passes:
 //
-//	pass 1:  w_j = Σ_i v_i·A_ij   (per-block partials, folded in block order)
-//	pass 2:  A_ij += s_j·v_i      (s_j = −w_j/v_k)
+//	pass 1:  w = Σ_i v_i·c_i   (per-block partials, folded in block order)
+//	pass 2:  c_i += s·v_i      (s = −w/v_k)
 //
-// Compared with the historical column-at-a-time loop this reads each row
-// once per pass (row-major, cache-friendly) and touches no bounds-checked
-// At/Set accessors.
-//
-// w and part need len ≥ cols.
-func applyReflector(qr *Matrix, k int, w, part []float64) {
-	m, n := qr.rows, qr.cols
-	if k+1 >= n {
-		return
+// Up to four trailing columns share one pass over v, each with its own
+// accumulator, so every column's sum is the same sequence of operations as
+// a column-at-a-time loop.
+func applyReflector(f *QR, k int) {
+	m, n := f.m, f.n
+	v := f.data[k*m+k : (k+1)*m]
+	j := k + 1
+	for ; j+4 <= n; j += 4 {
+		reflect4(v,
+			f.data[j*m+k:(j+1)*m],
+			f.data[(j+1)*m+k:(j+2)*m],
+			f.data[(j+2)*m+k:(j+3)*m],
+			f.data[(j+3)*m+k:(j+4)*m])
 	}
-	data := qr.data
-	for j := k + 1; j < n; j++ {
-		w[j] = 0
-	}
-	for lo := k; lo < m; lo += qrRowBlock {
-		hi := min(lo+qrRowBlock, m)
-		for j := k + 1; j < n; j++ {
-			part[j] = 0
-		}
-		for i := lo; i < hi; i++ {
-			row := data[i*n : (i+1)*n]
-			vi := row[k]
-			for j := k + 1; j < n; j++ {
-				part[j] += vi * row[j]
-			}
-		}
-		for j := k + 1; j < n; j++ {
-			w[j] += part[j]
-		}
-	}
-	pivot := data[k*n+k]
-	for j := k + 1; j < n; j++ {
-		w[j] = -w[j] / pivot
-	}
-	for i := k; i < m; i++ {
-		row := data[i*n : (i+1)*n]
-		vi := row[k]
-		for j := k + 1; j < n; j++ {
-			row[j] += w[j] * vi
-		}
+	for ; j < n; j++ {
+		reflect1(v, f.data[j*m+k:(j+1)*m])
 	}
 }
 
-// householder factorizes qr in place: packed Householder reflectors below
-// the diagonal, R on/above it, R's diagonal in rdia (len Cols). It is the
-// single shared kernel behind NewQR and QRWorkspace.Factorize, so the two
-// paths are arithmetically — and therefore bitwise — identical. The
-// reflector application is blocked and fused (see applyReflector); the
-// historical Hypot-chain kernel survives as householderRef, the baseline of
-// the speedup measurements.
-//
-// w and part are caller-owned scratch of len ≥ cols.
-func householder(qr *Matrix, rdia, w, part []float64) {
-	m, n := qr.rows, qr.cols
-	data := qr.data
+// reflect1 applies the reflector v to one column c (len(c) == len(v)).
+func reflect1(v, c []float64) {
+	c = c[:len(v)]
+	var w float64
+	for lo := 0; lo < len(v); lo += qrRowBlock {
+		hi := min(lo+qrRowBlock, len(v))
+		vb, cb := v[lo:hi], c[lo:hi]
+		var p float64
+		for i, vi := range vb {
+			p += vi * cb[i]
+		}
+		w += p
+	}
+	s := -w / v[0]
+	for i, vi := range v {
+		c[i] += s * vi
+	}
+}
+
+// reflect4 is reflect1 on four columns at once.
+func reflect4(v, c0, c1, c2, c3 []float64) {
+	c0, c1, c2, c3 = c0[:len(v)], c1[:len(v)], c2[:len(v)], c3[:len(v)]
+	var w0, w1, w2, w3 float64
+	for lo := 0; lo < len(v); lo += qrRowBlock {
+		hi := min(lo+qrRowBlock, len(v))
+		vb := v[lo:hi]
+		b0, b1, b2, b3 := c0[lo:hi], c1[lo:hi], c2[lo:hi], c3[lo:hi]
+		var p0, p1, p2, p3 float64
+		for i, vi := range vb {
+			p0 += vi * b0[i]
+			p1 += vi * b1[i]
+			p2 += vi * b2[i]
+			p3 += vi * b3[i]
+		}
+		w0 += p0
+		w1 += p1
+		w2 += p2
+		w3 += p3
+	}
+	pivot := v[0]
+	s0, s1, s2, s3 := -w0/pivot, -w1/pivot, -w2/pivot, -w3/pivot
+	for i, vi := range v {
+		c0[i] += s0 * vi
+		c1[i] += s1 * vi
+		c2[i] += s2 * vi
+		c3[i] += s3 * vi
+	}
+}
+
+// householder factorizes f in place: each column's reflector from the
+// diagonal down, R above the diagonal, R's diagonal in rdia. It is the single
+// shared kernel behind NewQR, QRWorkspace.Factorize and the NNLS passive
+// solves, so every path is arithmetically — and therefore bitwise —
+// identical. The historical Hypot-chain kernel survives as householderRef,
+// the baseline of the speedup measurements.
+func householder(f *QR) {
+	m, n := f.m, f.n
 	for k := 0; k < n; k++ {
-		// Householder vector for column k.
-		nrm := colNorm2(qr, k)
+		// Householder vector for column k: its tail from the diagonal.
+		v := f.data[k*m+k : (k+1)*m]
+		nrm := colNorm2(v)
 		if nrm != 0 {
-			if data[k*n+k] < 0 {
+			if v[0] < 0 {
 				nrm = -nrm
 			}
-			for i := k; i < m; i++ {
-				data[i*n+k] /= nrm
+			for i := range v {
+				v[i] /= nrm
 			}
-			data[k*n+k]++
-			applyReflector(qr, k, w, part)
+			v[0]++
+			applyReflector(f, k)
 		}
-		rdia[k] = -nrm
+		f.rdia[k] = -nrm
 	}
 }
 
@@ -147,37 +171,35 @@ func fullRank(rdia []float64) bool {
 	return true
 }
 
-// qrSolveInto solves the factored least-squares system into dst (len Cols),
-// using y (len Rows) as scratch for the Qᵀ·b application. It performs no
+// qrSolveInto solves the factored least-squares system into dst (len n),
+// using y (len m) as scratch for the Qᵀ·b application. It performs no
 // allocation; rank checking is the caller's responsibility.
-func qrSolveInto(qr *Matrix, rdia, dst, y, b []float64) {
-	m, n := qr.rows, qr.cols
-	data := qr.data
+func qrSolveInto(f *QR, dst, y, b []float64) {
+	m, n := f.m, f.n
 	copy(y, b)
-	// Apply Qᵀ to b. Direct data indexing (not At/Set) with the exact loop
-	// order of the historical accessor-based code: same arithmetic, no
-	// per-element bounds re-checks.
+	// Apply Qᵀ to b, one contiguous reflector column at a time.
 	for k := 0; k < n; k++ {
-		if data[k*n+k] == 0 {
+		v := f.data[k*m+k : (k+1)*m]
+		if v[0] == 0 {
 			continue
 		}
+		yk := y[k:m]
 		var s float64
-		for i := k; i < m; i++ {
-			s += data[i*n+k] * y[i]
+		for i, vi := range v {
+			s += vi * yk[i]
 		}
-		s = -s / data[k*n+k]
-		for i := k; i < m; i++ {
-			y[i] += s * data[i*n+k]
+		s = -s / v[0]
+		for i, vi := range v {
+			yk[i] += s * vi
 		}
 	}
-	// Back substitution R·x = y.
+	// Back substitution R·x = y; R's row k is entry k of each later column.
 	for k := n - 1; k >= 0; k-- {
 		s := y[k]
-		row := data[k*n : (k+1)*n]
 		for j := k + 1; j < n; j++ {
-			s -= row[j] * dst[j]
+			s -= f.data[j*m+k] * dst[j]
 		}
-		dst[k] = s / rdia[k]
+		dst[k] = s / f.rdia[k]
 	}
 }
 
@@ -187,10 +209,11 @@ func NewQR(a *Matrix) (*QR, error) {
 	if m < n {
 		return nil, fmt.Errorf("linalg: QR requires rows >= cols, got %dx%d", m, n)
 	}
-	qr := a.Clone()
-	rdia := make([]float64, n)
-	householder(qr, rdia, make([]float64, n), make([]float64, n))
-	return &QR{qr: qr, rdia: rdia}, nil
+	w := NewQRWorkspace(m, n)
+	if err := w.Factorize(a); err != nil {
+		return nil, err
+	}
+	return &w.qr, nil
 }
 
 // FullRank reports whether R has no (near-)zero diagonal entries relative to
@@ -200,16 +223,14 @@ func (f *QR) FullRank() bool { return fullRank(f.rdia) }
 // Solve returns x minimizing ‖A·x − b‖₂. It returns ErrRankDeficient when A
 // is numerically rank-deficient.
 func (f *QR) Solve(b []float64) ([]float64, error) {
-	m, n := f.qr.Rows(), f.qr.Cols()
-	if len(b) != m {
-		return nil, fmt.Errorf("linalg: QR solve rhs length %d, want %d", len(b), m)
+	if len(b) != f.m {
+		return nil, fmt.Errorf("linalg: QR solve rhs length %d, want %d", len(b), f.m)
 	}
 	if !f.FullRank() {
 		return nil, ErrRankDeficient
 	}
-	y := make([]float64, m)
-	x := make([]float64, n)
-	qrSolveInto(f.qr, f.rdia, x, y, b)
+	x := make([]float64, f.n)
+	qrSolveInto(f, x, make([]float64, f.m), b)
 	return x, nil
 }
 
@@ -226,10 +247,9 @@ type QRWorkspace struct {
 	qrData           []float64
 	rdia             []float64
 	y                []float64
-	w                []float64 // blocked-kernel per-column update scales
-	part             []float64 // blocked-kernel partial sums of one row block
+	cols             []int // source columns of the current factorization
 
-	qr       Matrix // current factorization view over qrData
+	qr       QR // current factorization view over qrData
 	factored bool
 }
 
@@ -245,8 +265,7 @@ func NewQRWorkspace(maxRows, maxCols int) *QRWorkspace {
 		qrData:  make([]float64, maxRows*maxCols),
 		rdia:    make([]float64, maxCols),
 		y:       make([]float64, maxRows),
-		w:       make([]float64, maxCols),
-		part:    make([]float64, maxCols),
+		cols:    make([]int, maxCols),
 	}
 }
 
@@ -264,9 +283,33 @@ func (w *QRWorkspace) Factorize(a *Matrix) error {
 		//gpower:allocs validation error path: an over-capacity matrix never reaches the kernel
 		return fmt.Errorf("linalg: %dx%d exceeds QR workspace capacity %dx%d", m, n, w.maxRows, w.maxCols)
 	}
-	w.qr = Matrix{rows: m, cols: n, data: w.qrData[:m*n]}
-	copy(w.qr.data, a.data)
-	householder(&w.qr, w.rdia[:n], w.w[:n], w.part[:n])
+	cols := w.cols[:n]
+	for j := range cols {
+		cols[j] = j
+	}
+	return w.factorizeColumns(a, cols)
+}
+
+// factorizeColumns gathers the listed columns of the row-major a, in the
+// order given, straight into the column-major factor storage and
+// factorizes them in place. It is the one copy loop behind Factorize (all
+// columns) and the NNLS passive solves (the passive columns, ascending). A
+// column list longer than a's row count has no full-rank factorization and
+// returns ErrRankDeficient. The caller guarantees capacity:
+// rows·len(cols) ≤ maxRows·maxCols and len(cols) ≤ maxCols.
+func (w *QRWorkspace) factorizeColumns(a *Matrix, cols []int) error {
+	m, k := a.rows, len(cols)
+	if m < k {
+		return ErrRankDeficient
+	}
+	w.qr = QR{m: m, n: k, data: w.qrData[:m*k], rdia: w.rdia[:k]}
+	for p, j := range cols {
+		col := w.qr.data[p*m : (p+1)*m]
+		for i := range col {
+			col[i] = a.data[i*a.cols+j]
+		}
+	}
+	householder(&w.qr)
 	w.factored = true
 	return nil
 }
@@ -274,7 +317,7 @@ func (w *QRWorkspace) Factorize(a *Matrix) error {
 // FullRank reports whether the last factorized matrix has full column rank
 // at working precision.
 func (w *QRWorkspace) FullRank() bool {
-	return w.factored && fullRank(w.rdia[:w.qr.cols])
+	return w.factored && w.qr.FullRank()
 }
 
 // SolveInto writes x minimizing ‖A·x − b‖₂ into dst (len Cols of the last
@@ -287,7 +330,7 @@ func (w *QRWorkspace) SolveInto(dst, b []float64) error {
 		//gpower:allocs validation error path: solving before Factorize is a caller bug
 		return fmt.Errorf("linalg: QR workspace solve before Factorize")
 	}
-	m, n := w.qr.rows, w.qr.cols
+	m, n := w.qr.m, w.qr.n
 	if len(b) != m {
 		//gpower:allocs validation error path: a mis-sized rhs never reaches the kernel
 		return fmt.Errorf("linalg: QR solve rhs length %d, want %d", len(b), m)
@@ -296,10 +339,10 @@ func (w *QRWorkspace) SolveInto(dst, b []float64) error {
 		//gpower:allocs validation error path: a mis-sized dst never reaches the kernel
 		return fmt.Errorf("linalg: QR solve dst length %d, want %d", len(dst), n)
 	}
-	if !fullRank(w.rdia[:n]) {
+	if !w.qr.FullRank() {
 		return ErrRankDeficient
 	}
-	qrSolveInto(&w.qr, w.rdia[:n], dst, w.y[:m], b)
+	qrSolveInto(&w.qr, dst, w.y[:m], b)
 	return nil
 }
 

@@ -36,49 +36,94 @@ func (q *Quartic2D) Eval(x, y float64) float64 {
 	return sx + sy + sxy
 }
 
-// evalAxis evaluates along one coordinate with the other held fixed:
-// f(t, other) when alongX, f(other, t) otherwise.
-func (q *Quartic2D) evalAxis(t, other float64, alongX bool) float64 {
-	if alongX {
-		return q.Eval(t, other)
-	}
-	return q.Eval(other, t)
+// atX is Eval(x, y) for a search along x: y's square y2 and its one-axis
+// sum sy come from the caller, computed once per search with Eval's
+// expressions, and the rest is Eval's arithmetic in Eval's order.
+func (q *Quartic2D) atX(x, y, y2, sy float64) float64 {
+	x2 := x * x
+	sx := q.C00 + q.C10*x + q.C20*x2 + q.C30*x2*x + q.C40*x2*x2
+	sxy := q.C11*x*y + q.C12*x*y2 + q.C21*x2*y + q.C22*x2*y2
+	return sx + sy + sxy
 }
 
-// minimizeAxis is Minimize1D specialized to the compiled surface: identical
-// golden-section + parabolic-refinement arithmetic, but the evaluations are
-// direct method calls — no closure is created, so the per-configuration
-// voltage solves stay off the allocator.
-func (q *Quartic2D) minimizeAxis(alongX bool, other, lo, hi, tol float64) float64 {
+// atY is Eval(x, y) for a search along y, with x2 and sx from the caller.
+func (q *Quartic2D) atY(y, x, x2, sx float64) float64 {
+	y2 := y * y
+	sy := q.C01*y + q.C02*y2 + q.C03*y2*y + q.C04*y2*y2
+	sxy := q.C11*x*y + q.C12*x*y2 + q.C21*x2*y + q.C22*x2*y2
+	return sx + sy + sxy
+}
+
+// minimizeX is Minimize1D along x at fixed y, specialized to the compiled
+// surface: identical golden-section + parabolic-refinement arithmetic, with
+// direct method calls instead of a closure (so the per-configuration
+// voltage solves stay off the allocator) and y's terms computed once.
+func (q *Quartic2D) minimizeX(y, lo, hi, tol float64) float64 {
+	y2 := y * y
+	sy := q.C01*y + q.C02*y2 + q.C03*y2*y + q.C04*y2*y2
 	const invPhi = 0.6180339887498949 // 1/φ
 	a, b := lo, hi
 	c := b - (b-a)*invPhi
 	d := a + (b-a)*invPhi
-	fc, fd := q.evalAxis(c, other, alongX), q.evalAxis(d, other, alongX)
+	fc, fd := q.atX(c, y, y2, sy), q.atX(d, y, y2, sy)
 	for b-a > tol {
 		if fc < fd {
 			b, d, fd = d, c, fc
 			c = b - (b-a)*invPhi
-			fc = q.evalAxis(c, other, alongX)
+			fc = q.atX(c, y, y2, sy)
 		} else {
 			a, c, fc = c, d, fd
 			d = a + (b-a)*invPhi
-			fd = q.evalAxis(d, other, alongX)
+			fd = q.atX(d, y, y2, sy)
 		}
 	}
 	x := (a + b) / 2
 	// One parabolic refinement through (a, mid, b) if it stays in range.
 	m := x
-	fa, fm, fb := q.evalAxis(a, other, alongX), q.evalAxis(m, other, alongX), q.evalAxis(b, other, alongX)
+	fa, fm, fb := q.atX(a, y, y2, sy), q.atX(m, y, y2, sy), q.atX(b, y, y2, sy)
 	den := (a-m)*(fm-fb) - (m-b)*(fa-fm)
 	if den != 0 {
 		num := (a-m)*(a-m)*(fm-fb) - (m-b)*(m-b)*(fa-fm)
 		cand := m - 0.5*num/den
-		if cand > lo && cand < hi && !math.IsNaN(cand) && q.evalAxis(cand, other, alongX) < fm {
+		if cand > lo && cand < hi && !math.IsNaN(cand) && q.atX(cand, y, y2, sy) < fm {
 			x = cand
 		}
 	}
 	return x
+}
+
+// minimizeY is minimizeX along y at fixed x, with x's terms computed once.
+func (q *Quartic2D) minimizeY(x, lo, hi, tol float64) float64 {
+	x2 := x * x
+	sx := q.C00 + q.C10*x + q.C20*x2 + q.C30*x2*x + q.C40*x2*x2
+	const invPhi = 0.6180339887498949 // 1/φ
+	a, b := lo, hi
+	c := b - (b-a)*invPhi
+	d := a + (b-a)*invPhi
+	fc, fd := q.atY(c, x, x2, sx), q.atY(d, x, x2, sx)
+	for b-a > tol {
+		if fc < fd {
+			b, d, fd = d, c, fc
+			c = b - (b-a)*invPhi
+			fc = q.atY(c, x, x2, sx)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + (b-a)*invPhi
+			fd = q.atY(d, x, x2, sx)
+		}
+	}
+	y := (a + b) / 2
+	m := y
+	fa, fm, fb := q.atY(a, x, x2, sx), q.atY(m, x, x2, sx), q.atY(b, x, x2, sx)
+	den := (a-m)*(fm-fb) - (m-b)*(fa-fm)
+	if den != 0 {
+		num := (a-m)*(a-m)*(fm-fb) - (m-b)*(m-b)*(fa-fm)
+		cand := m - 0.5*num/den
+		if cand > lo && cand < hi && !math.IsNaN(cand) && q.atY(cand, x, x2, sx) < fm {
+			y = cand
+		}
+	}
+	return y
 }
 
 // Minimize minimizes the surface on [xlo,xhi]×[ylo,yhi] by coordinate
@@ -97,8 +142,8 @@ func (q *Quartic2D) Minimize(xlo, xhi, ylo, yhi, tol float64) (float64, float64,
 	const maxSweeps = 60
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		px, py := x, y
-		x = q.minimizeAxis(true, y, xlo, xhi, tol)
-		y = q.minimizeAxis(false, x, ylo, yhi, tol)
+		x = q.minimizeX(y, xlo, xhi, tol)
+		y = q.minimizeY(x, ylo, yhi, tol)
 		if math.Abs(x-px) < tol && math.Abs(y-py) < tol {
 			break
 		}

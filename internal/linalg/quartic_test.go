@@ -132,3 +132,81 @@ func TestQuartic2DMinimizeMatchesMinimize2D(t *testing.T) {
 		}
 	}
 }
+
+// evalAxisRef and minimizeAxisRef are the line search Minimize used before
+// the per-axis searches hoisted the fixed coordinate's terms: every step
+// calls Eval in full. They are the oracle of TestQuartic2DMinimizeMatchesBits.
+func (q *Quartic2D) evalAxisRef(t, other float64, alongX bool) float64 {
+	if alongX {
+		return q.Eval(t, other)
+	}
+	return q.Eval(other, t)
+}
+
+func (q *Quartic2D) minimizeAxisRef(alongX bool, other, lo, hi, tol float64) float64 {
+	const invPhi = 0.6180339887498949 // 1/φ
+	a, b := lo, hi
+	c := b - (b-a)*invPhi
+	d := a + (b-a)*invPhi
+	fc, fd := q.evalAxisRef(c, other, alongX), q.evalAxisRef(d, other, alongX)
+	for b-a > tol {
+		if fc < fd {
+			b, d, fd = d, c, fc
+			c = b - (b-a)*invPhi
+			fc = q.evalAxisRef(c, other, alongX)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + (b-a)*invPhi
+			fd = q.evalAxisRef(d, other, alongX)
+		}
+	}
+	x := (a + b) / 2
+	m := x
+	fa, fm, fb := q.evalAxisRef(a, other, alongX), q.evalAxisRef(m, other, alongX), q.evalAxisRef(b, other, alongX)
+	den := (a-m)*(fm-fb) - (m-b)*(fa-fm)
+	if den != 0 {
+		num := (a-m)*(a-m)*(fm-fb) - (m-b)*(m-b)*(fa-fm)
+		cand := m - 0.5*num/den
+		if cand > lo && cand < hi && !math.IsNaN(cand) && q.evalAxisRef(cand, other, alongX) < fm {
+			x = cand
+		}
+	}
+	return x
+}
+
+// minimizeRef is Minimize's sweep over the oracle line search.
+func (q *Quartic2D) minimizeRef(xlo, xhi, ylo, yhi, tol float64) (float64, float64) {
+	x := (xlo + xhi) / 2
+	y := (ylo + yhi) / 2
+	for sweep := 0; sweep < 60; sweep++ {
+		px, py := x, y
+		x = q.minimizeAxisRef(true, y, xlo, xhi, tol)
+		y = q.minimizeAxisRef(false, x, ylo, yhi, tol)
+		if math.Abs(x-px) < tol && math.Abs(y-py) < tol {
+			break
+		}
+	}
+	return x, y
+}
+
+// TestQuartic2DMinimizeMatchesBits requires the per-axis line searches to
+// return the oracle's bits: hoisting the fixed coordinate's square and
+// one-axis sum out of the search reorders no floating-point operation.
+// The boxes include the estimator's voltage box and narrow, off-centre ones
+// whose minimum sits on an edge.
+func TestQuartic2DMinimizeMatchesBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	boxes := [][4]float64{{0.5, 1.5, 0.5, 1.5}, {0.8, 1.2, 0.9, 1.1}, {1.3, 2.0, 0.2, 0.6}}
+	for trial := 0; trial < 200; trial++ {
+		p := randStep2(rng, 8+rng.Intn(80))
+		q := p.compile()
+		box := boxes[trial%len(boxes)]
+		tol := []float64{1e-6, 1e-9, 1e-4}[(trial/3)%3]
+		wantX, wantY := q.minimizeRef(box[0], box[1], box[2], box[3], tol)
+		gotX, gotY, err := q.Minimize(box[0], box[1], box[2], box[3], tol)
+		if err != nil {
+			t.Fatalf("trial %d: Minimize: %v", trial, err)
+		}
+		requireSameBits(t, "Quartic2D.Minimize", []float64{gotX, gotY}, []float64{wantX, wantY})
+	}
+}

@@ -50,7 +50,9 @@ func householderRef(qr *Matrix, rdia []float64) {
 
 // LeastSquaresRef solves min‖A·x − b‖₂ with the reference Householder
 // kernel. Solve-phase arithmetic (Qᵀ·b application, back substitution) is
-// shared with the production path — only the factorization kernel differs.
+// shared with the production path — the row-major reference factors are
+// transposed into its column-major layout — so only the factorization
+// kernel differs.
 func LeastSquaresRef(a *Matrix, b []float64) ([]float64, error) {
 	m, n := a.Rows(), a.Cols()
 	if m < n {
@@ -65,8 +67,15 @@ func LeastSquaresRef(a *Matrix, b []float64) ([]float64, error) {
 	if !fullRank(rdia) {
 		return nil, ErrRankDeficient
 	}
+	// Transpose the row-major factors into the shared column-major solve.
+	f := &QR{m: m, n: n, data: make([]float64, m*n), rdia: rdia}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			f.data[j*m+i] = qr.data[i*n+j]
+		}
+	}
 	x := make([]float64, n)
-	qrSolveInto(qr, rdia, x, make([]float64, m), b)
+	qrSolveInto(f, x, make([]float64, m), b)
 	return x, nil
 }
 

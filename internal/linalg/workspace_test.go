@@ -21,9 +21,10 @@ func randSystem(rng *rand.Rand, m, n int) (*Matrix, []float64) {
 	return a, b
 }
 
-// TestQRWorkspaceMatchesNewQR checks that the workspace Factorize/SolveInto
-// path is bitwise-identical to the allocating NewQR/Solve path: both run the
-// same householder/qrSolveInto kernels, so any divergence is a bug.
+// TestQRWorkspaceMatchesNewQR checks that one workspace reused across
+// systems of varying shape, each smaller than its capacity, solves every
+// system to the bits of a fresh, exactly sized NewQR: nothing an earlier
+// factorization left in the buffers may reach a later solve.
 func TestQRWorkspaceMatchesNewQR(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ws := NewQRWorkspace(64, 12)
