@@ -38,34 +38,41 @@
 #   make speedup — serial vs parallel Estimate comparison per device catalog
 #   make bench-json — run the perf-relevant Go benchmarks plus the speedup
 #                  and fleet-fit experiments and consolidate everything into
-#                  BENCH_results.json (ns/op, B/op, allocs/op, reference-vs-
-#                  restructured estimate-fit factors, fleet models/min;
-#                  seed 42). Also drives the gpowerd HTTP load harness for
+#                  BENCH_results.json (ns/op, B/op, allocs/op, cold-vs-warm
+#                  surface factors, fleet models/min; seed 42), stamped with
+#                  CPU count, GOMAXPROCS, Go version, GOOS/GOARCH and commit
+#                  (benchjson is built, not `go run`, so the commit is
+#                  embedded). Also drives the gpowerd HTTP load harness for
 #                  SERVE_DURATION over SERVE_CONNS keep-alive connections
 #                  (the serve_predict row) and the fleet discrete-event DVFS
 #                  simulation over CLUSTER_GPUS GPUs for CLUSTER_HORIZON
 #                  simulated seconds (the cluster_sim row: per-policy energy
 #                  and deadline outcomes plus single-core events/sec). Fails
-#                  if a large-device estimate-fit speedup drops below
-#                  MIN_ESTIMATE_SPEEDUP (default 2.0), the served
-#                  predictions/sec drop below MIN_SERVE_THROUGHPUT (default
-#                  1,000,000) or the cluster engine drops below
-#                  MIN_CLUSTER_EVENTS simulated events/sec (default
-#                  1,000,000; CI passes lower bars to tolerate shared
-#                  runners). BENCHTIME=1x makes it a smoke run (CI default
-#                  here); raise it locally for stable numbers.
+#                  if one serial GTX Titan X fit
+#                  (BenchmarkEstimateSerial/GTX_Titan_X) takes longer than
+#                  MAX_FIT_MS (default 1000), the served predictions/sec
+#                  drop below MIN_SERVE_THROUGHPUT (default 1,000,000) or
+#                  the cluster engine drops below MIN_CLUSTER_EVENTS
+#                  simulated events/sec (default 1,000,000; CI passes lower
+#                  bars to tolerate shared runners). BENCHTIME=1x makes it a
+#                  smoke run (CI default here); raise it locally for stable
+#                  numbers. The fit-time figure of record is perfbench's
+#                  `fit` workload; this ceiling only catches a gross
+#                  regression.
 
 GO ?= go
 BENCHTIME ?= 1x
 
 # The benchmark subset bench-json records: the estimation and DVFS hot
 # paths this repo optimizes, not the full paper-figure regeneration suite.
-BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate(Serial|Parallel|Reference)|FleetFit|ClusterEvents)$$'
+BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate(Serial|Parallel)|FleetFit|ClusterEvents)$$'
 
-# bench-json regression gate: the estimate-fit speedup rows for the large
-# devices (Titan Xp, GTX Titan X) must stay at or above this factor, else
-# benchjson exits non-zero and the CI bench-smoke job fails.
-MIN_ESTIMATE_SPEEDUP ?= 2.0
+# bench-json regression gate: ceiling, in ms, on one serial GTX Titan X fit
+# (the BenchmarkEstimateSerial/GTX_Titan_X row; 0 disables the gate). The
+# serial row does not depend on the runner's core count. The default is
+# about 5x the ~200 ms measured on a 2-vCPU host, room for a slower runner
+# and a one-iteration smoke run; a missing row also fails.
+MAX_FIT_MS ?= 1000
 
 # gpowerd load-harness knobs for the serve_predict row: wall time of the
 # timed phase, client connections, and the sustained predictions/sec floor
@@ -152,10 +159,14 @@ bench:
 speedup:
 	$(GO) test -run NONE -bench 'BenchmarkEstimate(Serial|Parallel)' -benchtime 3x ./
 
+# bench-json builds benchjson rather than `go run`ning it, like alloccheck
+# above: only a built binary carries the commit it stamps into the artifact.
 bench-json:
 	$(GO) test -run NONE -bench $(BENCH_JSON_PATTERN) -benchmem -benchtime $(BENCHTIME) ./ | tee bench_raw.txt
-	$(GO) run ./cmd/benchjson -bench bench_raw.txt -o BENCH_results.json \
-		-min-estimate-speedup $(MIN_ESTIMATE_SPEEDUP) \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/benchjson" ./cmd/benchjson || exit $$?; \
+	"$$tmp/benchjson" -bench bench_raw.txt -o BENCH_results.json \
+		-max-fit-ms $(MAX_FIT_MS) \
 		-serve-duration $(SERVE_DURATION) -serve-conns $(SERVE_CONNS) \
 		-min-serve-throughput $(MIN_SERVE_THROUGHPUT) \
 		-cluster-gpus $(CLUSTER_GPUS) -cluster-horizon $(CLUSTER_HORIZON) \

@@ -7,15 +7,14 @@
 // It parses the standard `go test -bench -benchmem` output (ns/op, B/op,
 // allocs/op per benchmark) and runs the speedup, fleet-fit,
 // serving-throughput and cluster-simulation experiments (cold vs warm
-// prediction surfaces, reference vs restructured estimation engine, fleet
-// fitting throughput, gpowerd /v1/predict over loopback HTTP, and the
-// fleet discrete-event DVFS simulator) in-process, then writes everything
-// as one JSON document. `make bench-json` is the supported entry point; CI
-// uploads the resulting BENCH_results.json as a build artifact and gates on
-// -min-estimate-speedup (the estimate-fit rows for the large devices must
-// not regress below the given factor), -min-serve-throughput and
-// -min-cluster-events (the single-core event throughput of the cluster
-// engine, recorded as the cluster_sim row).
+// prediction surfaces, fleet fitting throughput, gpowerd /v1/predict over
+// loopback HTTP, and the fleet discrete-event DVFS simulator) in-process,
+// then writes everything as one JSON document stamped with the host and
+// commit that produced it. `make bench-json` is the supported entry point;
+// CI uploads the resulting BENCH_results.json as a build artifact and gates
+// on -max-fit-ms (a ceiling on the serial GTX Titan X fit row of the -bench
+// output), -min-serve-throughput and -min-cluster-events (the single-core
+// event throughput of the cluster engine, recorded as the cluster_sim row).
 package main
 
 import (
@@ -27,6 +26,8 @@ import (
 	"os"
 	"os/signal"
 	"regexp"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"syscall"
 	"time"
@@ -117,8 +118,21 @@ type AlloccheckEntry struct {
 	WallNs          float64 `json:"wall_ns"`
 }
 
+// EnvEntry stamps the artifact with where and from what it was measured.
+// Commit is the revision `go build` embeds ("+dirty" when the tree had
+// uncommitted changes); `go run` embeds none, so it reads "unknown" there.
+type EnvEntry struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	Commit     string `json:"commit"`
+}
+
 // Document is the BENCH_results.json schema.
 type Document struct {
+	Env          EnvEntry           `json:"env"`
 	Seed         uint64             `json:"seed"`
 	Benchmarks   []BenchEntry       `json:"benchmarks"`
 	Speedups     []SpeedupEntry     `json:"speedups"`
@@ -165,12 +179,61 @@ func parseBench(path string) ([]BenchEntry, error) {
 	return out, sc.Err()
 }
 
+// environment reads the stamp for this process.
+func environment() EnvEntry {
+	env := EnvEntry{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		Commit:     "unknown",
+	}
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return env
+	}
+	dirty := false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			env.Commit = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if dirty {
+		env.Commit += "+dirty"
+	}
+	return env
+}
+
+// fitGateRow is the benchmark row -max-fit-ms bounds: one serial fit of the
+// GTX Titan X, the catalog's largest system. The serial row keeps the gate
+// independent of the runner's core count.
+const fitGateRow = "BenchmarkEstimateSerial/GTX_Titan_X"
+
+// checkFitCeiling fails unless entries hold fitGateRow at no more than
+// maxMs milliseconds per fit.
+func checkFitCeiling(entries []BenchEntry, maxMs float64) error {
+	for _, e := range entries {
+		if e.Name != fitGateRow {
+			continue
+		}
+		if ms := e.NsPerOp / 1e6; ms > maxMs {
+			return fmt.Errorf("%s takes %.1f ms per fit, above the %g ms ceiling", fitGateRow, ms, maxMs)
+		}
+		return nil
+	}
+	return fmt.Errorf("no %s row in the -bench output to check against the %g ms ceiling", fitGateRow, maxMs)
+}
+
 func main() {
 	bench := flag.String("bench", "", "path to `go test -bench -benchmem` output to parse (optional)")
 	seed := flag.Uint64("seed", experiments.DefaultSeed, "simulation seed for the speedup measurements")
 	out := flag.String("o", "BENCH_results.json", "output path")
-	minEstimate := flag.Float64("min-estimate-speedup", 0,
-		"fail (exit 1) if any large-device estimate-fit speedup factor falls below this (0 disables the gate)")
+	maxFitMs := flag.Float64("max-fit-ms", 0,
+		"fail (exit 1) if the "+fitGateRow+" row of -bench exceeds this many ms per fit, or is missing (0 disables the gate)")
 	serveDuration := flag.Duration("serve-duration", 2*time.Second, "load-phase duration for the serving-throughput measurement (0 skips it)")
 	serveConns := flag.Int("serve-conns", 4, "concurrent client connections for the serving-throughput measurement")
 	minServe := flag.Float64("min-serve-throughput", 0,
@@ -184,7 +247,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	doc := Document{Seed: *seed}
+	doc := Document{Env: environment(), Seed: *seed}
 	if *bench != "" {
 		entries, err := parseBench(*bench)
 		if err != nil {
@@ -317,29 +380,9 @@ func main() {
 			acRes.RootCount-acRes.ProvenCount, acRes.RootCount, len(acRes.DirectiveErrors))
 		os.Exit(1)
 	}
-	if *minEstimate > 0 {
-		gated := []string{"estimate-fit (Titan Xp)", "estimate-fit (GTX Titan X)"}
-		checked := 0
-		failed := false
-		for _, want := range gated {
-			for _, e := range doc.Speedups {
-				if e.Name != want {
-					continue
-				}
-				checked++
-				if e.Factor < *minEstimate {
-					fmt.Fprintf(os.Stderr, "benchjson: %s speedup %.2fx below gate %.2fx\n",
-						e.Name, e.Factor, *minEstimate)
-					failed = true
-				}
-			}
-		}
-		if checked != len(gated) {
-			fmt.Fprintf(os.Stderr, "benchjson: gate found %d of %d estimate-fit rows %v\n",
-				checked, len(gated), gated)
-			failed = true
-		}
-		if failed {
+	if *maxFitMs > 0 {
+		if err := checkFitCeiling(doc.Benchmarks, *maxFitMs); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
 	}

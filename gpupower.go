@@ -33,7 +33,6 @@ import (
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
-	"gpupower/internal/nvml"
 	"gpupower/internal/profiler"
 	"gpupower/internal/sim"
 )
@@ -87,15 +86,13 @@ const (
 func DeviceNames() []string { return []string{TitanXp, GTXTitanX, TeslaK40c} }
 
 // GPU is an open handle to one GPU behind a measurement backend: kernel
-// execution, NVML-style management, CUPTI-style event collection and the
-// paper's measurement methodology. Open backs it with the simulator;
+// execution, clock control and power readings, CUPTI-style event collection
+// and the paper's measurement methodology. Open backs it with the simulator;
 // OpenBackend/OpenTrace accept any Backend.
 type GPU struct {
 	dev  *hw.Device
 	b    Backend
 	prof *profiler.Profiler
-	// nv is the NVML façade; populated only for simulator-backed handles.
-	nv *nvml.Device
 }
 
 // Open creates a simulator-backed GPU handle for a catalog device. All
@@ -118,7 +115,7 @@ func Open(deviceName string, seed uint64) (*GPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GPU{dev: dev, b: b, prof: p, nv: nvml.Wrap(s)}, nil
+	return &GPU{dev: dev, b: b, prof: p}, nil
 }
 
 // Device returns the static hardware description.
@@ -245,12 +242,6 @@ func (g *GPU) MeasurePowerContext(ctx context.Context, app *App, cfg Config) (fl
 func (g *GPU) MeasureIdlePower(cfg Config) (float64, error) {
 	return g.prof.MeasureIdlePower(context.Background(), cfg) //lint:ignore ctxflow non-cancellable convenience wrapper; the *Context sibling is the cancellable API
 }
-
-// NVML exposes the management-library façade (clock control, supported
-// clocks, power limit). It is only available on simulator-backed handles
-// (Open); for other backends it returns nil — use Backend for the portable
-// clock/power surface.
-func (g *GPU) NVML() *nvml.Device { return g.nv }
 
 // LoadModel reads a fitted model from a JSON file.
 func LoadModel(path string) (*Model, error) { return core.LoadModel(path) }

@@ -128,17 +128,6 @@ func TestMeasureIdlePower(t *testing.T) {
 	}
 }
 
-func TestNVMLFacade(t *testing.T) {
-	gpu, _ := fitted(t)
-	nv := gpu.NVML()
-	if nv.Name() != gpupower.TeslaK40c {
-		t.Fatal("NVML name mismatch")
-	}
-	if nv.EnforcedPowerLimit() != uint32(gpu.TDP()*1000) {
-		t.Fatal("power limit mismatch")
-	}
-}
-
 func TestWorkloadsCatalog(t *testing.T) {
 	wls := gpupower.Workloads()
 	if len(wls) != 26 {

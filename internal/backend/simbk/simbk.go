@@ -1,5 +1,5 @@
 // Package simbk adapts the in-process simulator (internal/sim plus its
-// nvml/cupti façades) to the backend.Backend measurement interface. It adds
+// cupti façade) to the backend.Backend measurement interface. It adds
 // no behaviour of its own: every method is a thin translation, so fitting a
 // model through this adapter is bitwise-identical to driving the simulator
 // directly (the serial/parallel equivalence tests and the golden-trace

@@ -332,8 +332,8 @@ func solveX(d *Dataset, volt *VoltageTable, configIdx []int) ([]float64, error) 
 // thirteen monomial coefficients, one O(nb) pass per configuration, so every
 // evaluation inside the golden-section descent costs O(1) instead of O(nb).
 // This removed the dominant cost of a fit (the objective loop was >50% of
-// Estimate's profile); EstimateReference keeps the direct-evaluation
-// arithmetic as the measured baseline.
+// Estimate's profile); estimate_reference_test.go keeps the direct-
+// evaluation arithmetic as a test oracle.
 func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opts *EstimatorOptions) error {
 	// Precompute A_b = β1 + Σ ω_i U_ib and B_b = β3 + ω_mem·U_dram,b on the
 	// reused workspace buffers, reading the flattened base blocks (same
@@ -624,7 +624,7 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 		paramsToModel(m, x)
 		m.Iterations = 1
 		m.Converged = true
-		return m, m.Validate()
+		return validated(m)
 	}
 
 	// Ablation modes bypass the alternation: fix V̄ and run step 3 once.
@@ -638,7 +638,7 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 		paramsToModel(m, x)
 		m.Iterations = 1
 		m.Converged = true
-		return m, m.Validate()
+		return validated(m)
 	}
 
 	// Step 1: initial X from {F1, F2, F3} with V̄ ≡ 1.
@@ -653,7 +653,7 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 	// Steps 2–4: alternate voltage and parameter estimation. The previous-
 	// iteration snapshots live on reused storage (CopyFrom, append into the
 	// same backing array), so the loop body is allocation-light: only the
-	// per-config Minimize2D solves and the parallel fan-out allocate.
+	// parallel fan-out allocates.
 	prevX := append([]float64(nil), x...)
 	prevVolt := volt.Clone()
 	prevSSE := math.Inf(1)
@@ -694,7 +694,16 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 	}
 
 	paramsToModel(m, x)
-	return m, m.Validate()
+	return validated(m)
+}
+
+// validated returns m, or nil and the error when m fails Model.Validate:
+// a fit never hands back a model next to an error.
+func validated(m *Model) (*Model, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // overRelax extrapolates the voltage table along the last update direction,

@@ -234,17 +234,17 @@ func TestProjectMonotonicAllocFree(t *testing.T) {
 }
 
 // TestEstimateMatchesReferenceEngine cross-checks the production engine
-// against the preserved pre-restructuring engine (estimate_reference.go) on
-// a synthetic dataset. The engines order their floating-point work
-// differently (blocked vs Hypot-chain QR, compiled vs direct step-2
-// objectives), so agreement is tolerance-based: measured divergence on the
-// real device rigs is ≤1e-5 relative on parameters and ≤6e-6 on voltages;
-// the bounds here leave two orders of magnitude of margin.
+// against the pre-restructuring engine (estimate_reference_test.go) on a
+// synthetic dataset. The engines order their floating-point work
+// differently (row-by-row vs incremental assembly, compiled vs direct
+// step-2 objectives), so agreement is tolerance-based: measured divergence
+// on the real device rigs is ≤1e-5 relative on parameters and ≤6e-6 on
+// voltages; the bounds here leave two orders of magnitude of margin.
 func TestEstimateMatchesReferenceEngine(t *testing.T) {
 	d := syntheticDataset(defaultSyntheticTruth(), 24, 2.0, 7)
-	ref, err := EstimateReference(context.Background(), d, nil)
+	ref, err := estimateReference(d)
 	if err != nil {
-		t.Fatalf("EstimateReference: %v", err)
+		t.Fatalf("estimateReference: %v", err)
 	}
 	got, err := Estimate(context.Background(), d, nil)
 	if err != nil {

@@ -466,3 +466,26 @@ func TestKnownVoltagesIncompatibleWithAblations(t *testing.T) {
 		t.Fatal("KnownVoltages + DisableVoltage accepted")
 	}
 }
+
+// TestEstimateInvalidModelReturnsNil pins the exits that validate the
+// fitted model: a known-voltage table with V̄core = −1 fits, fails
+// Model.Validate, and must come back as an error with no model beside it.
+func TestEstimateInvalidModelReturnsNil(t *testing.T) {
+	truth := defaultSyntheticTruth()
+	d := syntheticDataset(truth, 10, 0, 10)
+	known := NewVoltageTable(truth.dev.CoreFreqs, truth.dev.MemFreqs)
+	for mi := range known.VCore {
+		for ci := range known.VCore[mi] {
+			known.VCore[mi][ci] = -1
+		}
+	}
+	opts := DefaultEstimatorOptions()
+	opts.KnownVoltages = known
+	m, err := Estimate(context.Background(), d, opts)
+	if err == nil {
+		t.Fatal("known voltages of -1 accepted")
+	}
+	if m != nil {
+		t.Fatalf("Estimate returned a model next to its error %v", err)
+	}
+}

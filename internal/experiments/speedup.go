@@ -78,11 +78,9 @@ func speedupRow(ctx context.Context, name, baseLabel, optLabel string, baseIters
 //     direct Model.Predict vs the single-point surface-cache lookup it
 //     replaced for single-config requests (the two are pinned bitwise
 //     against each other by the surface tests).
-//   - estimate-fit (per device): the Section III-D alternation through the
-//     restructured engine (per-worker workspaces, blocked QR, compiled
-//     quartic step-2 objectives) vs the preserved reference engine it
-//     replaced (core.EstimateReference). Measured per catalog device so the
-//     factor covers the full ladder-size range.
+//
+// Fit time has no row here: perfbench's fit workload is its figure of
+// record, and BenchmarkEstimateSerial the one `make bench-json` gates.
 func RunSpeedup(ctx context.Context, seed uint64) (*SpeedupResult, error) {
 	const deviceName = "GTX Titan X"
 	r, err := SharedRig(deviceName, seed)
@@ -153,46 +151,6 @@ func RunSpeedup(ctx context.Context, seed uint64) (*SpeedupResult, error) {
 	}
 	out.Rows = append(out.Rows, row)
 
-	// Rows 3-5: the Section III-D alternation per catalog device, reference
-	// engine (row-by-row assembly, Hypot-chain QR, O(nb) objective closures;
-	// core.EstimateReference) vs the restructured engine (per-worker
-	// workspaces, blocked QR, compiled quartic objectives; core.Estimate).
-	// Both engines walk the same iteration trajectory, so the factor is the
-	// per-fit algorithmic speedup, valid on any core count. Iteration counts
-	// stay low because the reference engine is the slow side by design.
-	fitRows := []struct {
-		device              string
-		baseIters, optIters int
-	}{
-		{"Titan Xp", 2, 3},
-		{"GTX Titan X", 2, 3},
-		{"Tesla K40c", 3, 3},
-	}
-	fw := core.NewFitWorkspace()
-	for _, fr := range fitRows {
-		dr, err := SharedRig(fr.device, seed)
-		if err != nil {
-			return nil, err
-		}
-		d, err := dr.Dataset(ctx)
-		if err != nil {
-			return nil, err
-		}
-		row, err = speedupRow(ctx, "estimate-fit ("+fr.device+")",
-			"reference engine", "restructured", fr.baseIters, fr.optIters,
-			func() error {
-				_, err := core.EstimateReference(ctx, d, nil)
-				return err
-			},
-			func() error {
-				_, err := core.EstimateWith(ctx, d, nil, fw)
-				return err
-			})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, row)
-	}
 	return out, nil
 }
 

@@ -79,28 +79,3 @@ func (p *PAVA) FitInPlace(y, weights []float64) error {
 	}
 	return nil
 }
-
-// IsotonicDecreasing returns the non-increasing fit, by reflecting the input.
-func IsotonicDecreasing(y, weights []float64) ([]float64, error) {
-	n := len(y)
-	ry := make([]float64, n)
-	for i := range y {
-		ry[i] = y[n-1-i]
-	}
-	var rw []float64
-	if weights != nil {
-		rw = make([]float64, n)
-		for i := range weights {
-			rw[i] = weights[n-1-i]
-		}
-	}
-	fit, err := IsotonicRegression(ry, rw)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range fit {
-		out[i] = fit[n-1-i]
-	}
-	return out, nil
-}

@@ -149,18 +149,6 @@ func TestIsotonicOptimalityVsSort(t *testing.T) {
 	}
 }
 
-func TestIsotonicDecreasing(t *testing.T) {
-	fit, err := IsotonicDecreasing([]float64{1, 3, 2, 0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(fit); i++ {
-		if fit[i] > fit[i-1]+1e-12 {
-			t.Fatalf("fit %v is not non-increasing", fit)
-		}
-	}
-}
-
 // isotonicBlocks is the historical allocating PAVA — a stack of pooled
 // block structs, expanded into a fresh slice — kept as the oracle the
 // in-place form must match bit for bit.

@@ -1,6 +1,7 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // DVFS-aware power model estimator: dense matrices, Householder QR, ordinary
-// and non-negative least squares, isotonic regression and 1-D minimization.
+// and non-negative least squares, isotonic regression and the compiled
+// quartic minimizer of the per-configuration voltage step.
 //
 // It is deliberately self-contained (stdlib only) and tuned for the modest
 // problem sizes of the model-fitting pipeline (at most a few thousand rows
@@ -90,16 +91,6 @@ func (m *Matrix) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of bounds for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a slice sharing the matrix's storage: writes
 // through the slice mutate the matrix. It exists for allocation-free
 // assembly loops (the estimator's incremental design-matrix fill) that
@@ -139,56 +130,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	out := NewMatrix(m.rows, b.cols)
-	if err := m.MulInto(out, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulInto computes out = m·b into a caller-owned matrix, reusing its
-// storage so iterative callers allocate nothing per product. out is fully
-// overwritten; it must not alias m or b. Mul runs this kernel on a fresh
-// matrix, so the two are bitwise-identical.
-func (m *Matrix) MulInto(out *Matrix, b *Matrix) error {
-	if m.cols != b.rows {
-		return fmt.Errorf("linalg: dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	if out.rows != m.rows || out.cols != b.cols {
-		return fmt.Errorf("linalg: MulInto destination %dx%d, want %dx%d", out.rows, out.cols, m.rows, b.cols)
-	}
-	for i := 0; i < m.rows; i++ {
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return nil
-}
-
 // MulVec returns the matrix-vector product m·x.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	out := make([]float64, m.rows)
@@ -218,25 +159,6 @@ func (m *Matrix) MulVecInto(dst, x []float64) error {
 		dst[i] = s
 	}
 	return nil
-}
-
-// CopyColumns gathers the given columns (in order) into a new matrix —
-// the sub-matrix assembly of the reference NNLS passive-set solve.
-func (m *Matrix) CopyColumns(cols []int) *Matrix {
-	for _, j := range cols {
-		if j < 0 || j >= m.cols {
-			panic(fmt.Sprintf("linalg: CopyColumns index %d out of bounds for %dx%d matrix", j, m.rows, m.cols))
-		}
-	}
-	out := NewMatrix(m.rows, len(cols))
-	for i := 0; i < m.rows; i++ {
-		src := m.data[i*m.cols : (i+1)*m.cols]
-		dst := out.data[i*out.cols : (i+1)*out.cols]
-		for k, j := range cols {
-			dst[k] = src[j]
-		}
-	}
-	return out
 }
 
 // TMulVec returns the transpose product Aᵀ·y without materializing Aᵀ.

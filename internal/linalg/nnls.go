@@ -347,8 +347,9 @@ func (ws *NNLSWorkspace) solvePassive(a *Matrix, b []float64, passive []bool) ([
 // passive columns into ws.z, gathering them in ascending order straight
 // into the preallocated QR's column-major storage and factorizing in place
 // — no allocation. The gathered values and the factorization kernel are
-// those of the CopyColumns + LeastSquares path, so the solution is
-// bitwise-equal. A passive set wider than the system is tall returns
+// those of gathering the columns into a new matrix and calling
+// LeastSquares, so the solution is bitwise-equal to that allocating path,
+// which workspace_test.go keeps as its oracle. A passive set wider than the system is tall returns
 // ErrRankDeficient, which the active-set loop treats like any other
 // singular passive set.
 func (ws *NNLSWorkspace) solvePassiveInto(a *Matrix, b []float64, passive []bool) error {
@@ -380,32 +381,4 @@ func (ws *NNLSWorkspace) solvePassiveInto(a *Matrix, b []float64, passive []bool
 		z[j] = zs[p]
 	}
 	return nil
-}
-
-// solvePassive is the allocating reference implementation of the passive-
-// set solve: gather the passive columns, least-squares, scatter back. The
-// workspace path (solvePassiveInto) performs the same arithmetic on reused
-// storage; the equivalence tests compare the two bitwise, and the injection
-// tests fall back to this one.
-func solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, error) {
-	n := a.Cols()
-	var idx []int
-	for j := 0; j < n; j++ {
-		if passive[j] {
-			idx = append(idx, j)
-		}
-	}
-	if len(idx) == 0 {
-		return make([]float64, n), nil
-	}
-	sub := a.CopyColumns(idx)
-	zs, err := LeastSquares(sub, b)
-	if err != nil {
-		return nil, err
-	}
-	z := make([]float64, n)
-	for k, j := range idx {
-		z[j] = zs[k]
-	}
-	return z, nil
 }

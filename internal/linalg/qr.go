@@ -128,8 +128,8 @@ func reflect4(v, c0, c1, c2, c3 []float64) {
 // diagonal down, R above the diagonal, R's diagonal in rdia. It is the single
 // shared kernel behind NewQR, QRWorkspace.Factorize and the NNLS passive
 // solves, so every path is arithmetically — and therefore bitwise —
-// identical. The historical Hypot-chain kernel survives as householderRef,
-// the baseline of the speedup measurements.
+// identical. The historical Hypot-chain kernel survives in blocked_test.go
+// as the oracle of TestBlockedQRMatchesReferenceKernel.
 func householder(f *QR) {
 	m, n := f.m, f.n
 	for k := 0; k < n; k++ {

@@ -54,10 +54,11 @@ func (q *Quartic2D) atY(y, x, x2, sx float64) float64 {
 	return sx + sy + sxy
 }
 
-// minimizeX is Minimize1D along x at fixed y, specialized to the compiled
-// surface: identical golden-section + parabolic-refinement arithmetic, with
-// direct method calls instead of a closure (so the per-configuration
-// voltage solves stay off the allocator) and y's terms computed once.
+// minimizeX is a golden-section search along x at fixed y, refined with
+// one parabolic step: the arithmetic of the closure-based search kept in
+// minimize_test.go, with direct method calls instead of a closure (so the
+// per-configuration voltage solves stay off the allocator) and y's terms
+// computed once.
 func (q *Quartic2D) minimizeX(y, lo, hi, tol float64) float64 {
 	y2 := y * y
 	sy := q.C01*y + q.C02*y2 + q.C03*y2*y + q.C04*y2*y2
@@ -128,8 +129,8 @@ func (q *Quartic2D) minimizeY(x, lo, hi, tol float64) float64 {
 
 // Minimize minimizes the surface on [xlo,xhi]×[ylo,yhi] by coordinate
 // descent with golden-section line searches — the same search structure as
-// Minimize2D, with the closure-based objective replaced by the compiled
-// polynomial. Allocation-free.
+// the closure-based oracle in minimize_test.go, with the objective replaced
+// by the compiled polynomial. Allocation-free.
 func (q *Quartic2D) Minimize(xlo, xhi, ylo, yhi, tol float64) (float64, float64, error) {
 	if !(xlo < xhi) || !(ylo < yhi) {
 		return 0, 0, fmt.Errorf("linalg: Quartic2D minimize invalid box [%g,%g]x[%g,%g]", xlo, xhi, ylo, yhi)

@@ -101,7 +101,7 @@ func TestQuartic2DEvalMatchesDirect(t *testing.T) {
 }
 
 // TestQuartic2DMinimizeMatchesMinimize2D pins the closure-free coordinate
-// descent to the generic minimizer on the same objective: same box, same
+// descent to the closure-based minimize2D on the same objective: same box, same
 // tolerance, the same minimizer arithmetic, so the located minima must
 // coincide to within the search tolerance.
 func TestQuartic2DMinimizeMatchesMinimize2D(t *testing.T) {
@@ -111,9 +111,9 @@ func TestQuartic2DMinimizeMatchesMinimize2D(t *testing.T) {
 		q := p.compile()
 
 		const lo, hi, tol = 0.5, 1.5, 1e-6
-		wantVc, wantVm, err := Minimize2D(p.direct, lo, hi, lo, hi, tol)
+		wantVc, wantVm, err := minimize2D(p.direct, lo, hi, lo, hi, tol)
 		if err != nil {
-			t.Fatalf("trial %d: Minimize2D: %v", trial, err)
+			t.Fatalf("trial %d: minimize2D: %v", trial, err)
 		}
 		gotVc, gotVm, err := q.Minimize(lo, hi, lo, hi, tol)
 		if err != nil {
@@ -121,7 +121,7 @@ func TestQuartic2DMinimizeMatchesMinimize2D(t *testing.T) {
 		}
 
 		if math.Abs(gotVc-wantVc) > 1e-4 || math.Abs(gotVm-wantVm) > 1e-4 {
-			t.Fatalf("trial %d: argmin (%v, %v), Minimize2D found (%v, %v)",
+			t.Fatalf("trial %d: argmin (%v, %v), minimize2D found (%v, %v)",
 				trial, gotVc, gotVm, wantVc, wantVm)
 		}
 		// The objective at the two minima must agree even more tightly than

@@ -41,23 +41,6 @@ func Norm2(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Axpy computes y ← y + alpha·x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of v by alpha in place.
-func Scale(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
 // Sub returns a-b as a new slice.
 func Sub(a, b []float64) []float64 {
 	if len(a) != len(b) {

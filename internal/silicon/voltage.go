@@ -4,8 +4,9 @@
 // descriptor into execution time and component utilizations.
 //
 // Nothing in this package is visible to the model estimator. The estimator
-// observes the die only through the nvml and cupti façades, exactly as the
-// paper observes real silicon — the reproduction is meaningful because the
+// observes the die only through the measurement backend (the simulated
+// power sensor and clocks, and the cupti façade), exactly as the paper
+// observes real silicon through NVML and CUPTI — the reproduction is meaningful because the
 // fitted model must *recover* what this package hides.
 package silicon
 

@@ -1,8 +1,9 @@
 // Package sim provides the runtime simulation of a GPU device: clock state,
 // kernel execution (via the silicon ground truth), TDP-driven frequency
 // capping and the on-board power sensor with its refresh-period sampling
-// pathology. The nvml and cupti packages are thin façades over a sim.Device;
-// the profiler and model estimator only ever talk to those façades.
+// pathology. backend/simbk adapts a sim.Device (with the cupti façade for
+// events) to the measurement backend; the profiler and model estimator
+// only ever talk to that backend.
 package sim
 
 import (
@@ -24,10 +25,6 @@ type Device struct {
 
 	mu  sync.Mutex
 	cfg hw.Config
-
-	// energyJ accumulates the true energy of every executed launch, backing
-	// the NVML total-energy counter.
-	energyJ float64
 
 	sensorRNG *stats.RNG
 	eventRNG  *stats.RNG
@@ -119,25 +116,12 @@ func (d *Device) Execute(k *kernels.KernelSpec) (*RunResult, error) {
 		}
 		eff.CoreMHz = next
 	}
-	power := d.truth.Power(exec)
-	d.mu.Lock()
-	d.energyJ += power * exec.Seconds()
-	d.mu.Unlock()
 	return &RunResult{
 		Requested: req,
 		Effective: eff,
 		Exec:      exec,
-		TruePower: power,
+		TruePower: d.truth.Power(exec),
 	}, nil
-}
-
-// TotalEnergyJoules returns the accumulated true energy of every kernel
-// launch executed on this device (the quantity behind NVML's total-energy
-// counter).
-func (d *Device) TotalEnergyJoules() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.energyJ
 }
 
 func (d *Device) stepCoreDown(fc float64) (float64, bool) {

@@ -228,27 +228,3 @@ func TestMilliwattQuantization(t *testing.T) {
 		t.Fatalf("reading %v not quantized to mW", p)
 	}
 }
-
-func TestTotalEnergyAccumulates(t *testing.T) {
-	s := newSim(t, "GTX Titan X")
-	if s.TotalEnergyJoules() != 0 {
-		t.Fatal("fresh device has non-zero energy")
-	}
-	if err := s.SetClocks(3505, 975); err != nil {
-		t.Fatal(err)
-	}
-	run, err := s.Execute(lightKernel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run.TruePower * run.Exec.Seconds()
-	if got := s.TotalEnergyJoules(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("energy after one launch = %g J, want %g", got, want)
-	}
-	if _, err := s.Execute(lightKernel()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TotalEnergyJoules(); math.Abs(got-2*want) > 1e-9 {
-		t.Fatalf("energy after two launches = %g J, want %g", got, 2*want)
-	}
-}
