@@ -11,7 +11,11 @@ package gpupower_test
 // once, evaluate everywhere).
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -23,6 +27,8 @@ import (
 	"gpupower/internal/linalg"
 	"gpupower/internal/microbench"
 	"gpupower/internal/parallel"
+	"gpupower/internal/registry"
+	"gpupower/internal/serve"
 	"gpupower/internal/silicon"
 	"gpupower/internal/stats"
 )
@@ -256,16 +262,24 @@ func BenchmarkNNLSCold(b *testing.B) {
 	}
 }
 
-// BenchmarkIsotonic measures the monotonic-projection step.
+// BenchmarkIsotonic measures the monotonic-projection step the way step 2
+// runs it: a held PAVA, its block stack grown by a first fit outside the
+// timer, fitting a fresh copy of the same 64-point input in place.
 func BenchmarkIsotonic(b *testing.B) {
 	rng := stats.NewRNG(2)
-	y := make([]float64, 64)
-	for i := range y {
-		y[i] = rng.Normal(1, 0.1)
+	src := make([]float64, 64)
+	for i := range src {
+		src[i] = rng.Normal(1, 0.1)
+	}
+	y := append([]float64(nil), src...)
+	var p linalg.PAVA
+	if err := p.FitInPlace(y, nil); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := linalg.IsotonicRegression(y, nil); err != nil {
+		copy(y, src)
+		if err := p.FitInPlace(y, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,7 +306,9 @@ func BenchmarkMeasureAppPower(b *testing.B) {
 }
 
 // BenchmarkDVFSSearch measures the use-case-3 operating-point search across
-// the whole configuration space.
+// the whole configuration space, cold: every iteration invalidates the
+// model's prediction surfaces, so each search evaluates the full ladder.
+// BenchmarkFindBestConfigWarm is the same search on a warm surface.
 func BenchmarkDVFSSearch(b *testing.B) {
 	gpu, err := gpupower.Open(gpupower.GTXTitanX, benchSeed)
 	if err != nil {
@@ -316,6 +332,7 @@ func BenchmarkDVFSSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m.InvalidateSurfaces()
 		if _, err := gpupower.FindBestConfig(m, gpu.Device(), prof, gpupower.MinEnergy); err != nil {
 			b.Fatal(err)
 		}
@@ -421,8 +438,8 @@ func benchmarkEstimate(b *testing.B, sequential bool) {
 }
 
 // BenchmarkEstimateSerial fits on the sequential oracle path. Its GTX Titan
-// X row is what `make bench-json` gates with MAX_FIT_MS: the serial fit
-// time does not depend on the host's core count.
+// X row is one of the rows `make bench-json` gates with a ceiling: the
+// serial fit time does not depend on the host's core count.
 func BenchmarkEstimateSerial(b *testing.B) { benchmarkEstimate(b, true) }
 
 // BenchmarkEstimateParallel fits with the worker pool (GOMAXPROCS-sized).
@@ -430,8 +447,10 @@ func BenchmarkEstimateParallel(b *testing.B) { benchmarkEstimate(b, false) }
 
 // BenchmarkFleetFit measures fleet-scale fitting throughput: nine
 // heterogeneous registry members fitted concurrently with per-worker
-// workspace reuse. Datasets are measured once outside the timer, mirroring
-// production where samples arrive from the devices themselves.
+// workspace reuse, reported as models/min. Datasets are measured once
+// outside the timer, mirroring production where samples arrive from the
+// devices themselves. GOMAXPROCS is raised to the fleet size so all nine
+// fits are in flight at once even on narrow hosts.
 func BenchmarkFleetFit(b *testing.B) {
 	specs := fleet.Registry(9, benchSeed)
 	datasets, err := fleet.BuildDatasets(context.Background(), specs)
@@ -448,6 +467,8 @@ func BenchmarkFleetFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Minutes(), "models/min")
 }
 
 // BenchmarkEvaluateOperatingPoints times the DVFS sweep that
@@ -485,8 +506,7 @@ func BenchmarkEvaluateOperatingPoints(b *testing.B) {
 // a warm prediction surface — the steady state of a governor re-deciding an
 // already-profiled kernel. The first call outside the timer populates the
 // surface cache; every timed iteration is a cache hit plus one ordered scan
-// of the ladder. Compare against BenchmarkDVFSSearch's pre-cache baseline
-// in EXPERIMENTS.md for the warm-path speedup factor.
+// of the ladder. BenchmarkDVFSSearch is the same search on a cold surface.
 func BenchmarkFindBestConfigWarm(b *testing.B) {
 	gpu, err := gpupower.Open(gpupower.GTXTitanX, benchSeed)
 	if err != nil {
@@ -518,4 +538,81 @@ func BenchmarkFindBestConfigWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServePredict measures gpowerd's batch /v1/predict through the
+// handler's ServeHTTP with a response recorder and no socket: decode, one
+// registry snapshot, full-ladder items served from warm prediction
+// surfaces, and the pooled response encoder. The utilization vectors
+// repeat, as a governor's steady state does, and the surfaces are warmed
+// before the timer starts. Bitwise agreement with Model.Predict is
+// TestPredictFullLadderBitwise's job; every op here checks for HTTP 200.
+func BenchmarkServePredict(b *testing.B) {
+	// 256 full-ladder items on the GTX Titan X (16×4 ladder) are 16,384
+	// predictions per request, cycling 64 seeded utilization vectors.
+	const nItems, nDistinct = 256, 64
+	r, err := experiments.SharedRig("GTX Titan X", benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := r.Model(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	entry, err := registry.NewEntry(r.Device.Name, r.Device, r.Backend, r.Profiler, m,
+		registry.FitMeta{Source: "simulator"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := registry.New()
+	if err := reg.Add(entry); err != nil {
+		b.Fatal(err)
+	}
+	srv := serve.New(reg, nil)
+
+	rng := stats.NewRNG(benchSeed ^ 0x5e12e10ad)
+	utils := make([]map[string]float64, nDistinct)
+	for i := range utils {
+		utils[i] = make(map[string]float64, len(hw.Components))
+		for _, c := range hw.Components {
+			utils[i][c.String()] = rng.Float64()
+		}
+	}
+	type item struct {
+		Utilization map[string]float64 `json:"utilization"`
+	}
+	items := make([]item, nItems)
+	for i := range items {
+		items[i].Utilization = utils[i%len(utils)]
+	}
+	body, err := json.Marshal(map[string]any{"device": r.Device.Name, "items": items})
+	if err != nil {
+		b.Fatal(err)
+	}
+	predictions := nItems * r.Device.NumConfigs()
+
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("predict: HTTP %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		return rec
+	}
+	// Warm the surface cache and check the op's prediction count.
+	var resp struct {
+		Predictions int `json:"predictions"`
+	}
+	if err := json.Unmarshal(post().Body.Bytes(), &resp); err != nil {
+		b.Fatal(err)
+	}
+	if resp.Predictions != predictions {
+		b.Fatalf("served %d predictions per request, want %d", resp.Predictions, predictions)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(predictions*b.N)/b.Elapsed().Seconds(), "predictions/sec")
 }

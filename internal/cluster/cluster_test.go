@@ -396,8 +396,8 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 // BenchmarkClusterEvents measures raw event throughput on the
-// single-threaded engine — the number the cluster_sim BENCH row and its CI
-// floor track. One op is one full fleet run; the custom metric is
+// single-threaded engine — a `make bench-json` row, gated by a ceiling on
+// its ns/op. One op is one full fleet run; the custom metric is
 // events/sec.
 func BenchmarkClusterEvents(b *testing.B) {
 	ctx := context.Background()

@@ -604,7 +604,7 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 	x := make([]float64, nParams)
 
 	// Known-voltage simplification (Section III-D): copy the measured
-	// voltages and run step 3 once.
+	// voltages, each checked, and run step 3 once.
 	if opts.KnownVoltages != nil {
 		if opts.DisableVoltage || opts.LinearVoltage {
 			return nil, fmt.Errorf("core: KnownVoltages is incompatible with the voltage ablations")
@@ -613,6 +613,10 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 			vc, vm, err := opts.KnownVoltages.At(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: known voltages: %w", err)
+			}
+			if !finitePositive(vc) || !finitePositive(vm) {
+				return nil, fmt.Errorf("core: KnownVoltages at %.0f/%.0f MHz: V̄core %g, V̄mem %g must be finite and positive",
+					cfg.CoreMHz, cfg.MemMHz, vc, vm)
 			}
 			if err := volt.Set(cfg, vc, vm); err != nil {
 				return nil, err

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gpupower/internal/hw"
@@ -467,9 +469,50 @@ func TestKnownVoltagesIncompatibleWithAblations(t *testing.T) {
 	}
 }
 
-// TestEstimateInvalidModelReturnsNil pins the exits that validate the
-// fitted model: a known-voltage table with V̄core = −1 fits, fails
-// Model.Validate, and must come back as an error with no model beside it.
+// TestEstimateRejectsInvalidKnownVoltages checks that a known voltage that
+// is not finite and positive is rejected before step 3, by an error that
+// names the option and the configuration, with no model beside it.
+func TestEstimateRejectsInvalidKnownVoltages(t *testing.T) {
+	truth := defaultSyntheticTruth()
+	d := syntheticDataset(truth, 10, 0, 10)
+	bad := d.Configs[len(d.Configs)/2]
+	for _, tc := range []struct {
+		name   string
+		vc, vm float64
+	}{
+		{"negative core", -1, 1},
+		{"zero core", 0, 1},
+		{"NaN core", math.NaN(), 1},
+		{"infinite memory", 1, math.Inf(1)},
+		{"negative memory", 1, -0.5},
+	} {
+		known := NewVoltageTable(truth.dev.CoreFreqs, truth.dev.MemFreqs)
+		for _, cfg := range d.Configs {
+			if err := known.Set(cfg, truth.vcore(cfg.CoreMHz), truth.vmem(cfg.MemMHz)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := known.Set(bad, tc.vc, tc.vm); err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultEstimatorOptions()
+		opts.KnownVoltages = known
+		m, err := Estimate(context.Background(), d, opts)
+		if err == nil || m != nil {
+			t.Fatalf("%s: Estimate = %v, %v; want nil and an error", tc.name, m, err)
+		}
+		where := fmt.Sprintf("%.0f/%.0f MHz", bad.CoreMHz, bad.MemMHz)
+		if msg := err.Error(); !strings.Contains(msg, "KnownVoltages") || !strings.Contains(msg, where) {
+			t.Errorf("%s: error %q does not name KnownVoltages and %s", tc.name, msg, where)
+		}
+	}
+}
+
+// TestEstimateInvalidModelReturnsNil pins the exits that reject a fit: an
+// invalid input or a model that fails Model.Validate comes back as an
+// error with no model beside it. A known-voltage table with V̄core = −1 is
+// rejected before step 3; a dataset whose L2 bytes/cycle is zero fits, on
+// the alternation and on the ablation path, and fails Model.Validate.
 func TestEstimateInvalidModelReturnsNil(t *testing.T) {
 	truth := defaultSyntheticTruth()
 	d := syntheticDataset(truth, 10, 0, 10)
@@ -487,5 +530,18 @@ func TestEstimateInvalidModelReturnsNil(t *testing.T) {
 	}
 	if m != nil {
 		t.Fatalf("Estimate returned a model next to its error %v", err)
+	}
+
+	d.L2BytesPerCycle = 0
+	ablation := DefaultEstimatorOptions()
+	ablation.DisableVoltage = true
+	for _, opts := range []*EstimatorOptions{nil, ablation} {
+		m, err := Estimate(context.Background(), d, opts)
+		if err == nil {
+			t.Fatal("zero L2 bytes/cycle accepted")
+		}
+		if m != nil {
+			t.Fatalf("Estimate returned a model next to its error %v", err)
+		}
 	}
 }

@@ -195,10 +195,10 @@ func (m *Model) Validate() error {
 	}
 	for mi := range m.Voltages.VCore {
 		for ci := range m.Voltages.VCore[mi] {
-			if v := m.Voltages.VCore[mi][ci]; !(v > 0) || math.IsInf(v, 1) {
+			if v := m.Voltages.VCore[mi][ci]; !finitePositive(v) {
 				return fmt.Errorf("core: V̄core %g at index (%d,%d) not finite and positive", v, mi, ci)
 			}
-			if v := m.Voltages.VMem[mi][ci]; !(v > 0) || math.IsInf(v, 1) {
+			if v := m.Voltages.VMem[mi][ci]; !finitePositive(v) {
 				return fmt.Errorf("core: V̄mem %g at index (%d,%d) not finite and positive", v, mi, ci)
 			}
 		}
@@ -208,6 +208,10 @@ func (m *Model) Validate() error {
 
 // finiteNonNeg reports whether v is a finite, non-negative coefficient.
 func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// finitePositive reports whether v is a finite, positive value (a
+// normalized voltage).
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Breakdown is the model's power decomposition at one configuration
 // (paper Figs. 5B and 10): the constant share (static + idle V-F power of

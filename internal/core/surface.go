@@ -367,24 +367,6 @@ func (c *SurfaceCache) evictLocked(sh *surfaceShard, liveGen uint64) {
 	}
 }
 
-// Predict returns the memoized power prediction for cfg — the cached
-// sibling of Model.Predict. Warm calls perform no allocation.
-//
-//gpower:noalloc warm lookups allocate only on the off-ladder error path
-func (c *SurfaceCache) Predict(ctx context.Context, m *Model, dev *hw.Device, ref hw.Config, u Utilization, cfg hw.Config) (float64, error) {
-	s, err := c.Get(ctx, m, dev, ref, u)
-	if err != nil {
-		return 0, err
-	}
-	i, ok := s.Point(cfg)
-	if !ok {
-		//gpower:allocs cold error path: only an off-ladder configuration lands here
-		return 0, fmt.Errorf("core: configuration %.0f/%.0f MHz is not on the %s ladder",
-			cfg.CoreMHz, cfg.MemMHz, dev.Name)
-	}
-	return s.PowerW[i], nil
-}
-
 // Stats reports the cumulative warm (hit) and cold (miss) Get counts —
 // the cache-effectiveness signal the metrics layer exports.
 func (c *SurfaceCache) Stats() (hits, misses uint64) {

@@ -252,8 +252,8 @@ func TestSurfaceCacheCanceledContext(t *testing.T) {
 }
 
 // TestSurfaceCachePredictAllocFree is the allocation regression test for
-// the cached predict path: after warm-up, Predict performs zero heap
-// allocations (ISSUE acceptance criterion).
+// a cached single-point read: after warm-up, Get plus Surface.Point performs
+// zero heap allocations.
 func TestSurfaceCachePredictAllocFree(t *testing.T) {
 	dev := hw.GTXTitanX()
 	m := surfaceTestModel(dev, 10)
@@ -261,16 +261,20 @@ func TestSurfaceCachePredictAllocFree(t *testing.T) {
 	cfg := dev.AllConfigs()[3]
 	c := NewSurfaceCache(8)
 	ctx := context.Background()
-	if _, err := c.Predict(ctx, m, dev, m.Ref, u, cfg); err != nil {
+	if _, err := c.Get(ctx, m, dev, m.Ref, u); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.Predict(ctx, m, dev, m.Ref, u, cfg); err != nil {
+		s, err := c.Get(ctx, m, dev, m.Ref, u)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := s.Point(cfg); !ok {
+			t.Fatalf("configuration %v not on the ladder", cfg)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm cached Predict allocates %.1f/op, want 0", allocs)
+		t.Fatalf("warm cached Get + Point allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"gpupower/internal/cluster"
 	"gpupower/internal/core"
 	"gpupower/internal/governor"
-	"gpupower/internal/parallel"
 	"gpupower/internal/suites"
 )
 
@@ -41,9 +39,8 @@ type ClusterRow struct {
 
 // ClusterResult is the fleet-simulation experiment: the same seeded job
 // streams served under static clocks, the model-driven governor and the
-// clairvoyant per-job oracle, plus the engine's raw event throughput
-// (single core, sequential mode — the cluster_sim row of
-// BENCH_results.json).
+// clairvoyant per-job oracle. The engine's event throughput is
+// BenchmarkClusterEvents' row, not a field here.
 type ClusterResult struct {
 	Devices        []string
 	Classes        []string
@@ -57,10 +54,6 @@ type ClusterResult struct {
 	// Events is the event count of one run (identical across policies:
 	// every arrival is served, so runs differ in timing, not cardinality).
 	Events int64
-	// EventsPerSec is the sequential-mode engine throughput measured over
-	// ThroughputRuns full fleet runs.
-	EventsPerSec   float64
-	ThroughputRuns int
 }
 
 // clusterFleet profiles the job-mix applications on every catalog device
@@ -113,9 +106,7 @@ func clusterFleet(ctx context.Context, seed uint64) ([]cluster.DeviceModel, []cl
 
 // RunCluster simulates a fleet of gpus GPUs (split round-robin across the
 // three catalog device models) serving horizonSeconds of Poisson traffic
-// under each policy, then times the sequential engine for the events/sec
-// row. All fleet metrics are deterministic for a given seed; only
-// EventsPerSec is wall-clock.
+// under each policy. Every field is deterministic for a given seed.
 func RunCluster(ctx context.Context, seed uint64, gpus int, horizonSeconds float64) (*ClusterResult, error) {
 	fleet, classes, devices, err := clusterFleet(ctx, seed)
 	if err != nil {
@@ -148,7 +139,6 @@ func RunCluster(ctx context.Context, seed uint64, gpus int, horizonSeconds float
 	}
 
 	var staticEnergy float64
-	var dvfsSim *cluster.Simulator
 	for _, policy := range []cluster.Policy{cluster.Static, cluster.ModelDVFS, cluster.Oracle} {
 		o := *opts
 		o.Policy = policy
@@ -177,29 +167,7 @@ func RunCluster(ctx context.Context, seed uint64, gpus int, horizonSeconds float
 		}
 		out.Rows = append(out.Rows, row)
 		out.Events = m.Events
-		if policy == cluster.ModelDVFS {
-			dvfsSim = sim
-		}
 	}
-
-	// Raw engine throughput: re-run the warm ModelDVFS simulator on one
-	// core (sequential mode, the serial oracle path) until ~300 ms of wall
-	// time has accumulated, so short CI horizons still time more than noise.
-	prev := parallel.SetSequential(true)
-	defer parallel.SetSequential(prev)
-	var metrics cluster.Metrics
-	var elapsed time.Duration
-	var events int64
-	for elapsed < 300*time.Millisecond {
-		start := time.Now()
-		if err := dvfsSim.RunInto(ctx, &metrics); err != nil {
-			return nil, err
-		}
-		elapsed += time.Since(start)
-		events += metrics.Events
-		out.ThroughputRuns++
-	}
-	out.EventsPerSec = float64(events) / elapsed.Seconds()
 	return out, nil
 }
 
@@ -215,7 +183,6 @@ func (r *ClusterResult) String() string {
 			row.Policy, row.Jobs, row.MissPct, row.EnergyJ/1e3, row.AvgPowerW,
 			row.P50Ms, row.P99Ms, row.EnergySavedPct)
 	}
-	fmt.Fprintf(&sb, "  engine: %d events/run, %.2fM events/sec single-core (%d timed runs)\n",
-		r.Events, r.EventsPerSec/1e6, r.ThroughputRuns)
+	fmt.Fprintf(&sb, "  engine: %d events/run\n", r.Events)
 	return sb.String()
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"gpupower/internal/microbench"
 )
@@ -139,27 +138,6 @@ var registry = map[string]Runner{
 		}
 		return emit(w, r, plot)
 	},
-	"speedup": func(ctx context.Context, w io.Writer, seed uint64, plot bool) error {
-		r, err := RunSpeedup(ctx, seed)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, plot)
-	},
-	"fleet": func(ctx context.Context, w io.Writer, seed uint64, plot bool) error {
-		r, err := RunFleetFit(ctx, seed)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, plot)
-	},
-	"serve": func(ctx context.Context, w io.Writer, seed uint64, plot bool) error {
-		r, err := RunServeLoad(ctx, seed, 2*time.Second, 4)
-		if err != nil {
-			return err
-		}
-		return emit(w, r, plot)
-	},
 	"cluster": func(ctx context.Context, w io.Writer, seed uint64, plot bool) error {
 		r, err := RunCluster(ctx, seed, 500, 20)
 		if err != nil {
@@ -218,12 +196,11 @@ func Names() []string {
 }
 
 // AllNames is the set run by "-exp all" (excludes the expensive seed sweep,
-// the verbose source listing, and the wall-clock-dependent speedup,
-// fleet-throughput, serving and cluster-simulation timings).
+// the verbose source listing, and the fleet-scale cluster simulation).
 func AllNames() []string {
 	var out []string
 	for _, n := range Names() {
-		if n == "robustness" || n == "sources" || n == "speedup" || n == "fleet" || n == "serve" || n == "cluster" {
+		if n == "robustness" || n == "sources" || n == "cluster" {
 			continue
 		}
 		out = append(out, n)

@@ -111,16 +111,12 @@ type Fit struct {
 }
 
 // Result is a fleet fit: one Fit per input spec, in spec order, plus the
-// wall-clock throughput of the fitting phase.
+// wall-clock duration of the fitting phase.
 type Result struct {
 	Fits []Fit
 	// Wall is the wall-clock duration of the concurrent fitting phase
 	// (dataset measurement excluded).
 	Wall time.Duration
-	// ModelsPerMinute is len(Fits) normalized by Wall.
-	ModelsPerMinute float64
-	// Workers is the pool width the fits ran under.
-	Workers int
 }
 
 // BuildDatasets measures one training dataset per spec, fanning out across
@@ -168,8 +164,7 @@ func FitDatasets(ctx context.Context, datasets []*core.Dataset, opts *core.Estim
 
 // FitAll measures and fits the whole fleet: datasets first (untimed — in
 // production the measurements come from the devices themselves), then the
-// concurrent fitting phase, timed, with the models-fitted-per-minute
-// throughput in the result.
+// concurrent fitting phase, timed.
 func FitAll(ctx context.Context, specs []Spec, opts *core.EstimatorOptions) (*Result, error) {
 	members, err := OpenMembers(specs)
 	if err != nil {
@@ -184,17 +179,9 @@ func FitAll(ctx context.Context, specs []Spec, opts *core.EstimatorOptions) (*Re
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
-	res := &Result{
-		Fits:    make([]Fit, len(specs)),
-		Wall:    wall,
-		Workers: parallel.Workers(),
-	}
+	res := &Result{Fits: make([]Fit, len(specs)), Wall: time.Since(start)}
 	for i := range specs {
 		res.Fits[i] = Fit{Spec: specs[i], Member: members[i], Model: models[i]}
-	}
-	if wall > 0 {
-		res.ModelsPerMinute = float64(len(specs)) / wall.Minutes()
 	}
 	return res, nil
 }

@@ -115,7 +115,7 @@ func TestFleetWorkspaceReuse(t *testing.T) {
 }
 
 // TestFitAllThroughput smoke-tests the measured entry point: every member
-// fitted, positive throughput, worker count recorded.
+// fitted, the fitting phase timed.
 func TestFitAllThroughput(t *testing.T) {
 	specs := Registry(4, 50)
 	if specs[0].Device == specs[1].Device {
@@ -136,10 +136,7 @@ func TestFitAllThroughput(t *testing.T) {
 			t.Fatalf("member %s fitted model for %q", f.Spec, f.Model.DeviceName)
 		}
 	}
-	if res.ModelsPerMinute <= 0 {
-		t.Fatalf("non-positive throughput %v", res.ModelsPerMinute)
-	}
-	if res.Workers < 1 {
-		t.Fatalf("invalid worker count %d", res.Workers)
+	if res.Wall <= 0 {
+		t.Fatalf("non-positive fitting wall time %v", res.Wall)
 	}
 }

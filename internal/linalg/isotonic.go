@@ -2,34 +2,23 @@ package linalg
 
 import "fmt"
 
-// IsotonicRegression returns the non-decreasing sequence closest (in
-// weighted least squares) to y, computed with the Pool-Adjacent-Violators
-// Algorithm (PAVA). weights may be nil, in which case all points weigh 1.
+// PAVA computes isotonic regressions with the Pool-Adjacent-Violators
+// Algorithm: the non-decreasing sequence closest to the input in weighted
+// least squares. The estimator uses it to enforce the paper's voltage
+// monotonicity constraint: f_x1 > f_x2 ⇒ V̄(f_x1) ≥ V̄(f_x2) (Section III-D,
+// Eq. 12).
 //
-// The estimator uses it to enforce the paper's voltage monotonicity
-// constraint: f_x1 > f_x2 ⇒ V̄(f_x1) ≥ V̄(f_x2) (Section III-D, Eq. 12).
-// IsotonicRegression allocates its result and scratch per call; iterative
-// callers hold a PAVA and fit in place.
-func IsotonicRegression(y, weights []float64) ([]float64, error) {
-	out := append([]float64(nil), y...)
-	var p PAVA
-	if err := p.FitInPlace(out, weights); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PAVA is reusable scratch for the Pool-Adjacent-Violators Algorithm: the
-// stack of pooled blocks. The zero value is ready to use; the stack grows
-// to the longest input seen, so a held PAVA fits without allocating. It is
-// single-goroutine state.
+// A PAVA is reusable scratch: the stack of pooled blocks. The zero value is
+// ready to use; the stack grows to the longest input seen, so a held PAVA
+// fits without allocating. It is single-goroutine state.
 type PAVA struct {
 	v, w  []float64 // pooled value and weight of each block
 	count []int     // points pooled into each block
 }
 
-// FitInPlace overwrites y with its isotonic regression (see
-// IsotonicRegression), pooling on p's block stack instead of allocating.
+// FitInPlace overwrites y with its isotonic regression, pooling on p's
+// block stack instead of allocating. weights may be nil, in which case all
+// points weigh 1.
 func (p *PAVA) FitInPlace(y, weights []float64) error {
 	n := len(y)
 	if n == 0 {

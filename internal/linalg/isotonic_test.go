@@ -18,9 +18,18 @@ func isNonDecreasing(v []float64) bool {
 	return true
 }
 
+// isotonic fits a copy of y in place on p.
+func isotonic(p *PAVA, y, weights []float64) ([]float64, error) {
+	fit := append([]float64(nil), y...)
+	if err := p.FitInPlace(fit, weights); err != nil {
+		return nil, err
+	}
+	return fit, nil
+}
+
 func TestIsotonicAlreadyMonotone(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
-	fit, err := IsotonicRegression(y, nil)
+	fit, err := isotonic(new(PAVA), y, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +41,7 @@ func TestIsotonicAlreadyMonotone(t *testing.T) {
 }
 
 func TestIsotonicPoolsViolation(t *testing.T) {
-	fit, err := IsotonicRegression([]float64{1, 3, 2, 4}, nil)
+	fit, err := isotonic(new(PAVA), []float64{1, 3, 2, 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +54,7 @@ func TestIsotonicPoolsViolation(t *testing.T) {
 }
 
 func TestIsotonicReversedInput(t *testing.T) {
-	fit, err := IsotonicRegression([]float64{3, 2, 1}, nil)
+	fit, err := isotonic(new(PAVA), []float64{3, 2, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func TestIsotonicReversedInput(t *testing.T) {
 
 func TestIsotonicWeighted(t *testing.T) {
 	// Heavy weight on the first point pulls the pooled value toward it.
-	fit, err := IsotonicRegression([]float64{3, 1}, []float64{3, 1})
+	fit, err := isotonic(new(PAVA), []float64{3, 1}, []float64{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +78,14 @@ func TestIsotonicWeighted(t *testing.T) {
 }
 
 func TestIsotonicErrors(t *testing.T) {
-	if _, err := IsotonicRegression(nil, nil); err == nil {
+	var p PAVA
+	if err := p.FitInPlace(nil, nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := IsotonicRegression([]float64{1, 2}, []float64{1}); err == nil {
+	if err := p.FitInPlace([]float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("weight length mismatch accepted")
 	}
-	if _, err := IsotonicRegression([]float64{1}, []float64{0}); err == nil {
+	if err := p.FitInPlace([]float64{1}, []float64{0}); err == nil {
 		t.Fatal("zero weight accepted")
 	}
 }
@@ -83,6 +93,7 @@ func TestIsotonicErrors(t *testing.T) {
 // Property: output is non-decreasing, idempotent, and preserves the
 // weighted mean.
 func TestIsotonicProperties(t *testing.T) {
+	var p PAVA // held across inputs, as step 2 holds it
 	f := func(raw []float64) bool {
 		if len(raw) == 0 || len(raw) > 50 {
 			return true
@@ -94,14 +105,14 @@ func TestIsotonicProperties(t *testing.T) {
 			}
 			y[i] = math.Mod(v, 1000)
 		}
-		fit, err := IsotonicRegression(y, nil)
+		fit, err := isotonic(&p, y, nil)
 		if err != nil {
 			return false
 		}
 		if !isNonDecreasing(fit) {
 			return false
 		}
-		again, err := IsotonicRegression(fit, nil)
+		again, err := isotonic(&p, fit, nil)
 		if err != nil {
 			return false
 		}
@@ -126,13 +137,14 @@ func TestIsotonicProperties(t *testing.T) {
 // as good as sorting the input (a valid monotone candidate).
 func TestIsotonicOptimalityVsSort(t *testing.T) {
 	rng := stats.NewRNG(3)
+	var p PAVA
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(20)
 		y := make([]float64, n)
 		for i := range y {
 			y[i] = rng.Normal(0, 5)
 		}
-		fit, err := IsotonicRegression(y, nil)
+		fit, err := isotonic(&p, y, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +199,8 @@ func isotonicBlocks(y, weights []float64) []float64 {
 }
 
 // TestPAVAFitInPlaceMatchesBlocks compares the in-place PAVA, reused across
-// inputs of varying length, and its allocating wrapper against the block
-// oracle on random inputs — with ties, long violating runs and weights.
+// inputs of varying length, and a fresh one against the block oracle on
+// random inputs — with ties, long violating runs and weights.
 func TestPAVAFitInPlaceMatchesBlocks(t *testing.T) {
 	rng := stats.NewRNG(17)
 	var p PAVA
@@ -214,15 +226,15 @@ func TestPAVAFitInPlaceMatchesBlocks(t *testing.T) {
 		if err := p.FitInPlace(got, weights); err != nil {
 			t.Fatal(err)
 		}
-		wrapped, err := IsotonicRegression(y, weights)
+		fresh, err := isotonic(new(PAVA), y, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
-				math.Float64bits(wrapped[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: fit[%d] in place %x, wrapped %x, blocks %x",
-					trial, i, math.Float64bits(got[i]), math.Float64bits(wrapped[i]), math.Float64bits(want[i]))
+				math.Float64bits(fresh[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: fit[%d] reused %x, fresh %x, blocks %x",
+					trial, i, math.Float64bits(got[i]), math.Float64bits(fresh[i]), math.Float64bits(want[i]))
 			}
 		}
 	}

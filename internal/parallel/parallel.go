@@ -1,5 +1,5 @@
 // Package parallel is the concurrency substrate of the estimation engine:
-// a bounded, GOMAXPROCS-aware worker pool with deterministic semantics.
+// bounded, GOMAXPROCS-aware parallel loops with deterministic semantics.
 //
 // Design rules (see DESIGN.md §"Concurrency architecture"):
 //
@@ -19,8 +19,8 @@
 //     forces every loop through the inline serial path — the
 //     reproducibility oracle the equivalence tests compare against.
 //
-// Loops fall back to the inline path automatically when the pool would
-// have a single worker or the trip count is 1, so single-core machines
+// Loops fall back to the inline path automatically when they would have a
+// single worker or the trip count is 1, so single-core machines
 // (GOMAXPROCS=1) pay zero goroutine overhead.
 package parallel
 
@@ -33,8 +33,8 @@ import (
 	"sync/atomic"
 )
 
-// sequential forces the inline serial path when non-zero. It is a process
-// global (not per-pool) so reproducibility tests can pin the whole engine.
+// sequential forces the inline serial path when set. It is a process
+// global so reproducibility tests can pin the whole engine.
 var sequential atomic.Bool
 
 func init() {
@@ -52,8 +52,7 @@ func SetSequential(on bool) (previous bool) {
 	return sequential.Swap(on)
 }
 
-// Workers returns the effective default pool size: GOMAXPROCS, and 1 in
-// sequential mode.
+// Workers returns the loop width: GOMAXPROCS, and 1 in sequential mode.
 func Workers() int {
 	if sequential.Load() {
 		return 1
@@ -61,47 +60,21 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pool is a bounded worker pool. The zero value and a nil *Pool both use
-// the default (GOMAXPROCS-aware) sizing; NewPool pins an explicit size.
-// Pools carry no goroutines between calls — workers are spawned per loop
-// and joined before the loop returns, so a Pool is safe for concurrent use.
-type Pool struct {
-	workers int
+// workersFor resolves the goroutine count for a loop of n items:
+// min(Workers(), n), and at least 1.
+func workersFor(n int) int {
+	return max(1, min(Workers(), n))
 }
 
-// NewPool returns a pool with the given worker bound. workers <= 0 selects
-// the default GOMAXPROCS-aware sizing.
-func NewPool(workers int) *Pool { return &Pool{workers: workers} }
-
-// size resolves the worker count for a loop of n items.
-func (p *Pool) size(n int) int {
-	w := 0
-	if p != nil {
-		w = p.workers
-	}
-	if w <= 0 {
-		w = Workers()
-	} else if sequential.Load() {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// ForEach runs fn(i) for every i in [0, n), using up to the pool's worker
-// bound. Errors are collected per index and joined in index order; a
+// ForEach runs fn(i) for every i in [0, n) over up to Workers()
+// goroutines. Errors are collected per index and joined in index order; a
 // non-nil error stops the distribution of further indices (in-flight items
 // finish). fn must confine its writes to data owned by item i.
-func (p *Pool) ForEach(n int, fn func(i int) error) error {
+func ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if p.size(n) == 1 {
+	if workersFor(n) == 1 {
 		// Inline serial path, duplicated from ForEachWorker so the adapter
 		// closure below is never built when the loop won't fan out — that
 		// closure escapes and would cost one allocation per call even on
@@ -113,23 +86,23 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	return p.ForEachWorker(n, func(_, i int) error { return fn(i) })
+	return ForEachWorker(n, func(_, i int) error { return fn(i) })
 }
 
 // ForEachWorker is ForEach with the worker id (0 ≤ w < workers) passed to
 // fn, so callers can maintain per-worker scratch buffers and keep the
 // inner loop allocation-free:
 //
-//	scratch := make([][]float64, workers)
-//	pool.ForEachWorker(n, func(w, i int) error { use scratch[w] ... })
+//	scratch := make([][]float64, parallel.Workers())
+//	parallel.ForEachWorker(n, func(w, i int) error { use scratch[w] ... })
 //
 // Worker 0 is always the caller's goroutine when the loop degenerates to
 // the inline path.
-func (p *Pool) ForEachWorker(n int, fn func(worker, i int) error) error {
+func ForEachWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := p.size(n)
+	workers := workersFor(n)
 	if workers == 1 {
 		// Inline serial path: same iteration order as a plain for loop.
 		for i := 0; i < n; i++ {
@@ -177,8 +150,8 @@ func (p *Pool) ForEachWorker(n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// Map runs fn for every index on the default pool and returns the results
-// in index order.
+// Map runs fn for every index through ForEach and returns the results in
+// index order.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -198,18 +171,7 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEach runs fn over [0, n) on the default pool.
-func ForEach(n int, fn func(i int) error) error {
-	return (*Pool)(nil).ForEach(n, fn)
-}
-
-// ForEachWorker runs fn over [0, n) on the default pool, passing the
-// worker id for per-worker scratch.
-func ForEachWorker(n int, fn func(worker, i int) error) error {
-	return (*Pool)(nil).ForEachWorker(n, fn)
-}
-
-// PerWorker is a lazily-built, pool-sized set of per-worker values that
+// PerWorker is a lazily-built, Workers()-sized set of per-worker values that
 // survives across loops, so iterative engines (the Section III-D refit
 // loop) reuse per-worker scratch buffers instead of reallocating them every
 // ForEachWorker call:

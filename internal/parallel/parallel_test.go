@@ -39,9 +39,12 @@ func TestForEachZeroAndNegative(t *testing.T) {
 }
 
 func TestForEachErrorAggregation(t *testing.T) {
-	// All failing items must appear, joined in index order.
+	// On the inline serial path the failing item's error keeps its chain
+	// and names the item.
+	prev := SetSequential(true)
+	defer SetSequential(prev)
 	sentinel := errors.New("boom")
-	err := NewPool(1).ForEach(5, func(i int) error {
+	err := ForEach(5, func(i int) error {
 		if i == 2 {
 			return fmt.Errorf("item-%d: %w", i, sentinel)
 		}
@@ -56,9 +59,14 @@ func TestForEachErrorAggregation(t *testing.T) {
 }
 
 func TestForEachParallelErrorIsDeterministicForSerialPool(t *testing.T) {
-	// With an explicit multi-worker pool every failing index is reported,
-	// joined in index order.
-	err := NewPool(4).ForEach(8, func(i int) error {
+	// Fanned out over four workers, the reported failing indices are
+	// joined in index order. GOMAXPROCS is raised so the loop fans out
+	// on a single-core host too.
+	prevProcs := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prevProcs)
+	prev := SetSequential(false)
+	defer SetSequential(prev)
+	err := ForEach(8, func(i int) error {
 		if i%2 == 1 {
 			return fmt.Errorf("odd %d", i)
 		}
@@ -148,14 +156,21 @@ func TestSequentialMode(t *testing.T) {
 }
 
 func TestPoolSizeBounds(t *testing.T) {
-	if got := NewPool(8).size(3); got != 3 {
-		t.Fatalf("size clipped to n: got %d", got)
+	prevProcs := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prevProcs)
+	prev := SetSequential(false)
+	defer SetSequential(prev)
+	if got := workersFor(3); got != 3 {
+		t.Fatalf("width clipped to n: got %d", got)
 	}
-	if got := NewPool(0).size(1000); got != Workers() {
-		t.Fatalf("default sizing: got %d, want %d", got, Workers())
+	if got := workersFor(1000); got != Workers() {
+		t.Fatalf("default width: got %d, want %d", got, Workers())
 	}
-	var nilPool *Pool
-	if got := nilPool.size(1000); got != Workers() {
-		t.Fatalf("nil pool sizing: got %d, want %d", got, Workers())
+	if got := workersFor(0); got != 1 {
+		t.Fatalf("empty loop width: got %d, want 1", got)
+	}
+	SetSequential(true)
+	if got := workersFor(1000); got != 1 {
+		t.Fatalf("sequential width: got %d, want 1", got)
 	}
 }
