@@ -43,9 +43,11 @@
 #                  plus the alloccheck proof into BENCH_results.json, stamped
 #                  with CPU count, GOMAXPROCS, Go version, GOOS/GOARCH and
 #                  commit (benchjson is built, not `go run`, so the commit is
-#                  embedded). benchjson times nothing itself. It fails after
-#                  writing the file if a root is unproven or a gated row is
-#                  missing or above its ceiling: one serial GTX Titan X fit
+#                  embedded). benchjson times nothing itself. A failing
+#                  benchmark fails the target before benchjson runs;
+#                  benchjson fails after writing the file if a root is
+#                  unproven or a gated row is missing or above its
+#                  ceiling: one serial GTX Titan X fit
 #                  (BenchmarkEstimateSerial/GTX_Titan_X) 1000 ms,
 #                  BenchmarkServePredict 82 ms and BenchmarkClusterEvents
 #                  1296 ms per op (the table in cmd/benchjson). BENCHTIME=1x
@@ -133,8 +135,11 @@ speedup:
 
 # bench-json builds benchjson rather than `go run`ning it, like alloccheck
 # above: only a built binary carries the commit it stamps into the artifact.
+# The raw rows are written to a file and then printed, not piped through
+# tee, so a failing benchmark fails the target with go test's status.
 bench-json:
-	$(GO) test -run NONE -bench $(BENCH_JSON_PATTERN) -benchmem -benchtime $(BENCHTIME) $(BENCH_JSON_PACKAGES) | tee bench_raw.txt
+	$(GO) test -run NONE -bench $(BENCH_JSON_PATTERN) -benchmem -benchtime $(BENCHTIME) $(BENCH_JSON_PACKAGES) > bench_raw.txt; \
+	status=$$?; cat bench_raw.txt; exit $$status
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/benchjson" ./cmd/benchjson || exit $$?; \
 	"$$tmp/benchjson" -bench bench_raw.txt -o BENCH_results.json

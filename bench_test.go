@@ -217,11 +217,14 @@ func BenchmarkSimulateKernel(b *testing.B) {
 	}
 }
 
-// nnlsProblem builds the fitting problem at its production size
-// (83 benchmarks × 64 configurations × 11 parameters).
+// nnlsProblem builds the fitting problem at the size a GTX Titan X fit
+// solves: its 64 configurations × 11 parameters, with 8 rows per
+// configuration, because step 3 solves the projection of each
+// configuration's 83 benchmark rows onto the 8 utilization features
+// (DESIGN.md §10.2).
 func nnlsProblem() (*linalg.Matrix, []float64) {
 	rng := stats.NewRNG(1)
-	rows, cols := 83*64, 11
+	rows, cols := 64*8, 11
 	a := linalg.NewMatrix(rows, cols)
 	y := make([]float64, rows)
 	for i := 0; i < rows; i++ {
@@ -234,7 +237,7 @@ func nnlsProblem() (*linalg.Matrix, []float64) {
 }
 
 // BenchmarkNNLS measures the regression core the way the estimation engine
-// actually calls it: through a reused NNLSWorkspace, so the ~0.6 MB of QR
+// actually calls it: through a reused NNLSWorkspace, so the ~57 KB of QR
 // and active-set scratch is a one-time cost outside the timer and the steady
 // state is allocation-free (DESIGN.md §10).
 func BenchmarkNNLS(b *testing.B) {

@@ -45,6 +45,9 @@ func (d *Dataset) Validate() error {
 	if len(d.Power) != len(d.Benchmarks) {
 		return fmt.Errorf("core: power rows %d != benchmarks %d", len(d.Power), len(d.Benchmarks))
 	}
+	if !finitePositive(d.L2BytesPerCycle) {
+		return fmt.Errorf("core: L2 bytes/cycle %g must be finite and positive", d.L2BytesPerCycle)
+	}
 	for i, row := range d.Power {
 		if len(row) != len(d.Configs) {
 			return fmt.Errorf("core: power row %d has %d entries, want %d", i, len(row), len(d.Configs))

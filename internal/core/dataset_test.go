@@ -148,6 +148,35 @@ func TestAppUtilizationEmptyProfile(t *testing.T) {
 	}
 }
 
+func TestDatasetValidate(t *testing.T) {
+	truth := defaultSyntheticTruth()
+	d := syntheticDataset(truth, 5, 0, 7)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(d *Dataset){
+		"no benchmarks":  func(d *Dataset) { d.Benchmarks = nil; d.Power = nil },
+		"row mismatch":   func(d *Dataset) { d.Power = d.Power[:2] },
+		"ragged row":     func(d *Dataset) { d.Power[0] = d.Power[0][:3] },
+		"negative power": func(d *Dataset) { d.Power[1][2] = -5 },
+		"NaN power":      func(d *Dataset) { d.Power[1][2] = math.NaN() },
+		"infinite power": func(d *Dataset) { d.Power[1][2] = math.Inf(1) },
+		"zero L2":        func(d *Dataset) { d.L2BytesPerCycle = 0 },
+		"NaN L2":         func(d *Dataset) { d.L2BytesPerCycle = math.NaN() },
+		"infinite L2":    func(d *Dataset) { d.L2BytesPerCycle = math.Inf(1) },
+		"bad utilization": func(d *Dataset) {
+			d.Benchmarks[0].Util = Utilization{hw.SP: 2}
+		},
+	}
+	for name, mod := range cases {
+		dd := syntheticDataset(truth, 5, 0, 7)
+		mod(dd)
+		if err := dd.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestEndToEndFitOnSimulatedK40c is the package's integration test: build
 // the dataset on the simulated die, fit, and check the model predicts a
 // held-out application within the paper's Kepler error band.

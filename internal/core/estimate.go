@@ -87,8 +87,9 @@ func designRow(u Utilization, cfg hw.Config, vc, vm float64) []float64 {
 }
 
 // designRowInto is the allocation-free form of designRow: it fills dst
-// (len nParams) in place so the parallel assembly loops can reuse
-// per-worker scratch rows.
+// (len nParams) in place. The estimator never builds these rows: it solves
+// their projection (estimatorWorkspace), which the tests check against the
+// row-by-row design.
 func designRowInto(dst []float64, u Utilization, cfg hw.Config, vc, vm float64) {
 	fc, fm := cfg.CoreMHz, cfg.MemMHz
 	dst[0] = vc
@@ -122,57 +123,48 @@ func modelToParams(m *Model) []float64 {
 	return x
 }
 
-// nUtil is the length of a benchmark's utilization base block: the six
-// CoreOmegaOrder components followed by DRAM. The estimator flattens each
-// sample's Utilization map into this fixed-order block once per fit, so the
-// per-iteration assembly loops never touch a map.
+// nUtil is the length of a benchmark's utilization block: the six
+// CoreOmegaOrder components followed by DRAM.
 const nUtil = 7
 
+// nFeat is the width of the feature matrix Φ: a constant, then the nUtil
+// utilizations.
+const nFeat = 1 + nUtil
+
 // estimatorWorkspace carries every buffer the Section III-D alternation
-// reuses across iterations (DESIGN.md §10): the flattened utilization base
-// blocks, the full-ladder design matrix and right-hand side, the NNLS
-// workspace for the step-1/step-3 refits, and the step-2/SSE scratch. One
-// workspace serves one Estimate call; nothing in it is goroutine-safe.
+// reuses across iterations (DESIGN.md §10): the feature matrix Φ and its
+// QR, the projected power, the step-1/step-3 design and its NNLS workspace,
+// and the step-2 scratch. One workspace serves one Estimate call; nothing
+// in it is goroutine-safe.
 //
-// The incremental design assembly exploits the factored structure of the
-// regression row: every voltage-dependent entry is one of the per-config
-// scalars vc, s1 = vc²·fc, vm, s3 = vm²·fm times a per-sample utilization
-// constant. The base blocks are computed once; each refit only rescales
-// them in place. The arithmetic — s1·u instead of vc·vc·fc·u — preserves
-// the float association of designRowInto exactly, so the assembled system
-// (and therefore the fitted model) is bitwise-identical to the historical
-// row-by-row path; estimate_equiv_test.go pins this.
+// Utilizations are per benchmark, not per configuration, so the design row
+// of benchmark b at configuration c is Φ_b·M_c: Φ_b = [1, U_b] (nFeat) and
+// M_c (nFeat × nParams) holds only c's vc, s1 = vc²·fc, vm and s3 = vm²·fm.
+// With Φ = Q·R factored once per dataset, Σ_c ‖Φ·M_c·x − p_c‖² equals
+// Σ_c ‖R·M_c·x − (Qᵀp_c)[:nFeat]‖² plus the energy of each p_c outside Φ's
+// span. Steps 1 and 3 therefore solve nFeat rows per configuration instead
+// of one per benchmark, and the training SSE sums the same blocks.
 type estimatorWorkspace struct {
 	d  *Dataset
 	nb int
 
-	// ubase is nb base blocks of nUtil entries each (flat, stride nUtil).
-	ubase []float64
+	// phi is Φ: row b is [1, U_b] for b < nb; when nb < nFeat it is padded
+	// with zero rows to a square, which adds nothing to any objective.
+	phi     *linalg.Matrix
+	phiQR   *linalg.QRWorkspace
+	phiCap  int                    // row capacity of phiQR
+	r       [nFeat * nFeat]float64 // R, row-major
+	qtp     []float64              // (Qᵀp_c)[:nFeat] per configuration, stride nFeat
+	outSpan []float64              // ‖p_c − Q·Qᵀp_c‖² per configuration
+	psq     []float64              // ‖p_c‖² per configuration
+	y       []float64              // Qᵀp scratch, one Φ column long
 
-	a    *linalg.Matrix // nb·len(Configs) × nParams design (step-3 shape)
+	a    *linalg.Matrix // nFeat·len(configIdx) × nParams projected design
 	bvec []float64
 	nnls *linalg.NNLSWorkspace
 
-	// Subset-shape buffers for the step-1 {F1,F2,F3} solve. Historically
-	// this path silently allocated a fresh matrix + rhs on every call; the
-	// cache keeps repeated fits (the fleet scenario) allocation-free.
-	subA *linalg.Matrix
-	subB []float64
-
-	// fill* carry solveXInto's per-call arguments to fillRowBlock, and
-	// fillFn memoizes the bound method value. A closure literal passed to
-	// parallel.ForEach escapes and allocates even on the inline serial
-	// path (the MulInto closure-escape trap), so the assembly loop's
-	// callback is built once per workspace instead of once per solve.
-	fillA    *linalg.Matrix
-	fillB    []float64
-	fillVolt *VoltageTable
-	fillIdx  []int
-	fillFn   func(k int) error
-
-	A, B    []float64 // step-2 per-benchmark precomputes
-	partial []float64 // trainingSSE per-config partial sums
-	mono    monotonicProjector
+	A, B []float64 // step-2 per-benchmark precomputes
+	mono monotonicProjector
 }
 
 // growFloats returns s resized to exactly n entries, reusing its backing
@@ -185,8 +177,7 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// newEstimatorWorkspace sizes a workspace for dataset d and flattens the
-// utilization base blocks.
+// newEstimatorWorkspace sizes a workspace for dataset d and projects it.
 func newEstimatorWorkspace(d *Dataset) *estimatorWorkspace {
 	ws := &estimatorWorkspace{}
 	ws.reset(d)
@@ -194,44 +185,81 @@ func newEstimatorWorkspace(d *Dataset) *estimatorWorkspace {
 }
 
 // reset retargets the workspace at dataset d, growing buffers only when d
-// needs more capacity than any dataset seen before and re-deriving all
-// dataset-dependent state (the flattened utilization base blocks). A reused
+// needs more capacity than any dataset seen before, and re-derives all
+// dataset-dependent state: Φ, its QR and the projected power. A reused
 // workspace therefore produces bitwise-identical fits to a fresh one: every
 // buffer is either fully rewritten here or fully rewritten by the assembly
 // loops before it is read. This is what lets fleet fitting hold one
 // workspace per worker across many heterogeneous device fits.
 func (ws *estimatorWorkspace) reset(d *Dataset) {
-	nb := len(d.Benchmarks)
-	rows := nb * len(d.Configs)
+	nb, nc := len(d.Benchmarks), len(d.Configs)
+	rows := max(nb, nFeat)
 	ws.d = d
 	ws.nb = nb
-	ws.ubase = growFloats(ws.ubase, nb*nUtil)
-	if ws.a == nil {
-		ws.a = linalg.NewMatrix(rows, nParams)
+	if ws.phi == nil {
+		ws.phi = linalg.NewMatrix(rows, nFeat)
+		ws.a = linalg.NewMatrix(nFeat*nc, nParams)
+		ws.nnls = linalg.NewNNLSWorkspace(nFeat*nc, nParams)
 	} else {
-		ws.a.Reshape(rows, nParams)
+		ws.phi.Reshape(rows, nFeat)
+		ws.a.Reshape(nFeat*nc, nParams)
+		ws.nnls.Ensure(nFeat*nc, nParams)
 	}
-	ws.bvec = growFloats(ws.bvec, rows)
-	if ws.nnls == nil {
-		ws.nnls = linalg.NewNNLSWorkspace(rows, nParams)
-	} else {
-		ws.nnls.Ensure(rows, nParams)
+	if rows > ws.phiCap {
+		ws.phiQR = linalg.NewQRWorkspace(rows, nFeat)
+		ws.phiCap = rows
 	}
+	ws.bvec = growFloats(ws.bvec, nFeat*nc)
+	ws.qtp = growFloats(ws.qtp, nFeat*nc)
+	ws.outSpan = growFloats(ws.outSpan, nc)
+	ws.psq = growFloats(ws.psq, nc)
+	ws.y = growFloats(ws.y, rows)
 	ws.A = growFloats(ws.A, nb)
 	ws.B = growFloats(ws.B, nb)
-	ws.partial = growFloats(ws.partial, len(d.Configs))
-	for bi, bench := range d.Benchmarks {
-		ub := ws.ubase[bi*nUtil : (bi+1)*nUtil]
-		for i, c := range CoreOmegaOrder {
-			ub[i] = bench.Util[c]
+
+	for bi := 0; bi < rows; bi++ {
+		row := ws.phi.RowView(bi)
+		if bi >= nb {
+			clear(row)
+			continue
 		}
-		ub[nUtil-1] = bench.Util[hw.DRAM]
+		u := d.Benchmarks[bi].Util
+		row[0] = 1
+		for i, c := range CoreOmegaOrder {
+			row[1+i] = u[c]
+		}
+		row[nFeat-1] = u[hw.DRAM]
+	}
+	// Φ is rows × nFeat with rows ≥ nFeat, within phiQR's capacity.
+	_ = ws.phiQR.Factorize(ws.phi)
+	for i := 0; i < nFeat; i++ {
+		for j := 0; j < nFeat; j++ {
+			ws.r[i*nFeat+j] = ws.phiQR.R(i, j)
+		}
+	}
+	for fi := 0; fi < nc; fi++ {
+		y := ws.y
+		clear(y[nb:])
+		var psq float64
+		for bi := 0; bi < nb; bi++ {
+			p := d.Power[bi][fi]
+			y[bi] = p
+			psq += p * p
+		}
+		_ = ws.phiQR.ApplyQT(y) // y is one Φ column long
+		copy(ws.qtp[fi*nFeat:(fi+1)*nFeat], y[:nFeat])
+		var out float64
+		for _, v := range y[nFeat:] {
+			out += v * v
+		}
+		ws.outSpan[fi] = out
+		ws.psq[fi] = psq
 	}
 }
 
-// ub returns benchmark bi's utilization base block.
+// ub returns benchmark bi's utilization block, a view of Φ's row.
 func (ws *estimatorWorkspace) ub(bi int) []float64 {
-	return ws.ubase[bi*nUtil : (bi+1)*nUtil]
+	return ws.phi.RowView(bi)[1:]
 }
 
 // solveXInto performs the (non-negative) least-squares estimation of X over
@@ -243,71 +271,43 @@ func (ws *estimatorWorkspace) ub(bi int) []float64 {
 // while a zero dst — step 1, the known-voltage and ablation fits — solves
 // cold. The fitted bits are the same either way (DESIGN.md §10.1).
 //
-// The design-matrix assembly is parallelized across configurations: the k-th
-// configuration owns the contiguous row block [k·nb, (k+1)·nb), so workers
-// write disjoint slices of the matrix and the assembled system is
-// bitwise-identical to the serial one. Rows are filled through RowView from
-// the precomputed base blocks — no per-row scratch, no map lookups, and
-// (for the full-ladder shape) no allocation.
+// It solves the projected system: configuration c contributes the nFeat
+// rows R·M_c and right-hand side (Qᵀp_c)[:nFeat]. That system has the full
+// design's AᵀA and Aᵀb, and hence its gradients, but entries about √nb
+// times larger, so the NNLS stopping rule is given the full design's
+// MaxAbs(A)·‖b‖ (WarmSolveScaledInto): the projection then stops where the
+// full solve would. Utilizations lie in [0, 1] (Dataset.Validate), so the
+// full design's largest entry is the largest vc, s1, vm or s3.
 func (ws *estimatorWorkspace) solveXInto(dst []float64, volt *VoltageTable, configIdx []int) error {
-	rows := ws.nb * len(configIdx)
-	a, b := ws.a, ws.bvec
-	if rows != a.Rows() {
-		// Subset solves (the step-1 {F1,F2,F3} system) use cached
-		// right-sized buffers — a right-sized matrix keeps the NNLS scaling
-		// identical to the historical path, and the cache keeps repeated
-		// fits through a reused workspace allocation-free.
-		if ws.subA == nil {
-			ws.subA = linalg.NewMatrix(rows, nParams)
-		} else if ws.subA.Rows() != rows {
-			ws.subA.Reshape(rows, nParams)
+	rows := nFeat * len(configIdx)
+	a, b := ws.a, ws.bvec[:rows]
+	a.Reshape(rows, nParams)
+	var maxAbs, psq float64
+	for k, fi := range configIdx {
+		cfg := ws.d.Configs[fi]
+		vc, vm, err := volt.At(cfg)
+		if err != nil {
+			return err
 		}
-		ws.subB = growFloats(ws.subB, rows)
-		a, b = ws.subA, ws.subB
-	}
-	if ws.fillFn == nil {
-		ws.fillFn = ws.fillRowBlock
-	}
-	ws.fillA, ws.fillB, ws.fillVolt, ws.fillIdx = a, b, volt, configIdx
-	err := parallel.ForEach(len(configIdx), ws.fillFn)
-	ws.fillVolt, ws.fillIdx = nil, nil
-	if err != nil {
-		return err
-	}
-	return ws.nnls.WarmSolveInto(dst, a, b)
-}
-
-// fillRowBlock assembles configuration k's contiguous row block of the
-// design system staged in ws.fill* by solveXInto. Workers read the shared
-// fill state and write disjoint row ranges only.
-func (ws *estimatorWorkspace) fillRowBlock(k int) error {
-	d, nb := ws.d, ws.nb
-	a, b := ws.fillA, ws.fillB
-	fi := ws.fillIdx[k]
-	cfg := d.Configs[fi]
-	vc, vm, err := ws.fillVolt.At(cfg)
-	if err != nil {
-		return err
-	}
-	fc, fm := cfg.CoreMHz, cfg.MemMHz
-	s1 := vc * vc * fc
-	s3 := vm * vm * fm
-	r := k * nb
-	for bi := 0; bi < nb; bi++ {
-		row := a.RowView(r)
-		ub := ws.ub(bi)
-		row[0] = vc
-		row[1] = s1
-		row[2] = vm
-		row[3] = s3
-		for i := 0; i < nUtil-1; i++ {
-			row[4+i] = s1 * ub[i]
+		s1 := vc * vc * cfg.CoreMHz
+		s3 := vm * vm * cfg.MemMHz
+		maxAbs = max(maxAbs, math.Abs(vc), math.Abs(s1), math.Abs(vm), math.Abs(s3))
+		psq += ws.psq[fi]
+		for i := 0; i < nFeat; i++ {
+			ri := ws.r[i*nFeat : (i+1)*nFeat]
+			row := a.RowView(k*nFeat + i)
+			row[0] = ri[0] * vc
+			row[1] = ri[0] * s1
+			row[2] = ri[0] * vm
+			row[3] = ri[0] * s3
+			for j := 0; j < nUtil-1; j++ {
+				row[4+j] = ri[1+j] * s1
+			}
+			row[nParams-1] = ri[nFeat-1] * s3
 		}
-		row[nParams-1] = s3 * ub[nUtil-1]
-		b[r] = d.Power[bi][fi]
-		r++
+		copy(b[k*nFeat:(k+1)*nFeat], ws.qtp[fi*nFeat:(fi+1)*nFeat])
 	}
-	return nil
+	return ws.nnls.WarmSolveScaledInto(dst, a, b, maxAbs*math.Sqrt(psq))
 }
 
 // solveX is the workspace-per-call form of solveXInto, kept for tests and
@@ -336,7 +336,7 @@ func solveX(d *Dataset, volt *VoltageTable, configIdx []int) ([]float64, error) 
 // evaluation arithmetic as a test oracle.
 func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opts *EstimatorOptions) error {
 	// Precompute A_b = β1 + Σ ω_i U_ib and B_b = β3 + ω_mem·U_dram,b on the
-	// reused workspace buffers, reading the flattened base blocks (same
+	// reused workspace buffers, reading Φ's utilization blocks (same
 	// accumulation order as the historical map-walking loop).
 	d := ws.d
 	A, B := ws.A, ws.B
@@ -530,13 +530,13 @@ func applyFixedVoltages(d *Dataset, volt *VoltageTable, opts *EstimatorOptions) 
 	return nil
 }
 
-// FitWorkspace is a reusable, opaque estimation workspace: the design
-// matrix, NNLS/QR buffers and step-2/SSE scratch of the Section III-D
-// alternation, preserved across EstimateWith calls. Buffers grow to the
-// largest dataset seen and are re-derived per fit, so reuse never changes a
-// fitted bit (the fleet equivalence tests pin this). A workspace is
-// single-goroutine state: confine each instance to one worker (see
-// parallel.PerWorker) or guard it externally.
+// FitWorkspace is a reusable, opaque estimation workspace: the feature
+// matrix and its QR, the projected design, the NNLS buffers and the step-2
+// scratch of the Section III-D alternation, preserved across EstimateWith
+// calls. Buffers grow to the largest dataset seen and are re-derived per
+// fit, so reuse never changes a fitted bit (the fleet equivalence tests pin
+// this). A workspace is single-goroutine state: confine each instance to
+// one worker (see parallel.PerWorker) or guard it externally.
 type FitWorkspace struct {
 	ws *estimatorWorkspace
 }
@@ -656,8 +656,8 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 
 	// Steps 2–4: alternate voltage and parameter estimation. The previous-
 	// iteration snapshots live on reused storage (CopyFrom, append into the
-	// same backing array), so the loop body is allocation-light: only the
-	// parallel fan-out allocates.
+	// same backing array), so the loop body is allocation-light: only step
+	// 2's fan-out allocates.
 	prevX := append([]float64(nil), x...)
 	prevVolt := volt.Clone()
 	prevSSE := math.Inf(1)
@@ -739,53 +739,37 @@ func overRelax(prev, volt *VoltageTable, opts *EstimatorOptions, ref hw.Config, 
 }
 
 // trainingSSE evaluates the sum of squared prediction errors of parameter
-// vector x with voltage table volt over the whole dataset.
-//
-// The (config × benchmark) error blocks are evaluated in parallel — each
-// configuration owns one partial sum — and folded in configuration order,
-// so the result is bitwise-identical run-to-run regardless of scheduling.
-// A voltage-table miss is a hard error: every dataset configuration must
-// resolve (silently skipping one used to understate the SSE and could
-// declare convergence on an objective that ignored part of the data).
+// vector x with voltage table volt over the whole dataset, from the
+// projected blocks: Σ_c ‖R·M_c·x − (Qᵀp_c)[:nFeat]‖² plus each
+// configuration's out-of-span energy. A voltage-table miss is a hard error:
+// every dataset configuration must resolve (silently skipping one used to
+// understate the SSE and could declare convergence on an objective that
+// ignored part of the data).
 func (ws *estimatorWorkspace) trainingSSE(volt *VoltageTable, x []float64) (float64, error) {
-	d := ws.d
-	partial := ws.partial
-	err := parallel.ForEach(len(d.Configs), func(fi int) error {
-		cfg := d.Configs[fi]
+	var sse float64
+	var g [nFeat]float64 // M_c·x
+	for fi, cfg := range ws.d.Configs {
 		vc, vm, err := volt.At(cfg)
 		if err != nil {
-			return fmt.Errorf("core: training SSE at %v: %w", cfg, err)
+			return 0, fmt.Errorf("core: training SSE at %v: %w", cfg, err)
 		}
-		fc, fm := cfg.CoreMHz, cfg.MemMHz
-		s1 := vc * vc * fc
-		s3 := vm * vm * fm
-		var s float64
-		for bi := 0; bi < ws.nb; bi++ {
-			ub := ws.ub(bi)
-			// Term-by-term accumulation in row order replicates the
-			// historical designRowInto + ordered dot product exactly:
-			// each term is (row entry)·x[j] with the row entry factored
-			// through s1/s3 at identical float association.
+		s1 := vc * vc * cfg.CoreMHz
+		s3 := vm * vm * cfg.MemMHz
+		g[0] = vc*x[0] + s1*x[1] + vm*x[2] + s3*x[3]
+		for j := 0; j < nUtil-1; j++ {
+			g[1+j] = s1 * x[4+j]
+		}
+		g[nFeat-1] = s3 * x[nParams-1]
+		qtp := ws.qtp[fi*nFeat : (fi+1)*nFeat]
+		s := ws.outSpan[fi]
+		for i := 0; i < nFeat; i++ {
 			pred := 0.0
-			pred += vc * x[0]
-			pred += s1 * x[1]
-			pred += vm * x[2]
-			pred += s3 * x[3]
-			for i := 0; i < nUtil-1; i++ {
-				pred += s1 * ub[i] * x[4+i]
+			for j := i; j < nFeat; j++ {
+				pred += ws.r[i*nFeat+j] * g[j]
 			}
-			pred += s3 * ub[nUtil-1] * x[nParams-1]
-			diff := d.Power[bi][fi] - pred
+			diff := qtp[i] - pred
 			s += diff * diff
 		}
-		partial[fi] = s
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var sse float64
-	for _, s := range partial {
 		sse += s
 	}
 	return sse, nil

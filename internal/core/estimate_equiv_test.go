@@ -5,15 +5,17 @@ import (
 	"math"
 	"testing"
 
+	"gpupower/internal/backend/trace"
 	"gpupower/internal/hw"
 	"gpupower/internal/linalg"
+	"gpupower/internal/microbench"
+	"gpupower/internal/profiler"
 	"gpupower/internal/stats"
 )
 
-// referenceSolveX is the historical step-1/step-3 path: build every design
-// row with designRowInto, copy it into a fresh matrix, and solve with the
-// allocating NNLS entry point. The incremental workspace path must match it
-// bitwise — same rows, same right-hand side, same active-set trajectory.
+// referenceSolveX is the full-design oracle of steps 1 and 3: build every
+// (benchmark, configuration) row with designRowInto and solve the
+// nb·len(configIdx) × nParams system with the allocating NNLS entry point.
 func referenceSolveX(d *Dataset, volt *VoltageTable, configIdx []int) ([]float64, error) {
 	nb := len(d.Benchmarks)
 	rows := nb * len(configIdx)
@@ -37,13 +39,14 @@ func referenceSolveX(d *Dataset, volt *VoltageTable, configIdx []int) ([]float64
 	return linalg.NNLS(a, b)
 }
 
-// referenceTrainingSSE is the historical SSE evaluation: a designRowInto
-// row per (config, benchmark) folded against x in index order, partials
-// folded in configuration order.
-func referenceTrainingSSE(d *Dataset, volt *VoltageTable, x []float64) (float64, error) {
+// referenceTrainingSSE is the full-design objective ‖A·x − b‖² over the
+// given configurations: a designRowInto row per (configuration, benchmark)
+// folded against x. Over every configuration it is the training SSE.
+func referenceTrainingSSE(d *Dataset, volt *VoltageTable, configIdx []int, x []float64) (float64, error) {
 	row := make([]float64, nParams)
 	var sse float64
-	for fi, cfg := range d.Configs {
+	for _, fi := range configIdx {
+		cfg := d.Configs[fi]
 		vc, vm, err := volt.At(cfg)
 		if err != nil {
 			return 0, err
@@ -58,14 +61,13 @@ func referenceTrainingSSE(d *Dataset, volt *VoltageTable, x []float64) (float64,
 			diff := d.Power[bi][fi] - pred
 			s += diff * diff
 		}
-		_ = fi
 		sse += s
 	}
 	return sse, nil
 }
 
 // perturbedVoltages builds a deterministic non-trivial voltage table so the
-// equivalence check exercises the incremental rescaling away from V̄ ≡ 1.
+// equivalence check exercises the projection away from V̄ ≡ 1.
 func perturbedVoltages(d *Dataset, seed uint64) *VoltageTable {
 	rng := stats.NewRNG(seed)
 	volt := NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs)
@@ -78,63 +80,160 @@ func perturbedVoltages(d *Dataset, seed uint64) *VoltageTable {
 	return volt
 }
 
-// TestIncrementalAssemblyBitwiseEquivalent pins the tentpole invariant: the
-// incremental design-matrix assembly (base blocks rescaled by the per-config
-// scalars vc, vc²·fc, vm, vm²·fm) solves to bitwise-identical parameter
-// vectors as the historical row-by-row designRowInto path, including when
-// the workspace is reused across successive solves with different voltage
-// tables and different configuration subsets.
-func TestIncrementalAssemblyBitwiseEquivalent(t *testing.T) {
-	d := syntheticDataset(defaultSyntheticTruth(), 24, 2.0, 7)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ws := newEstimatorWorkspace(d)
-
-	init, err := initialConfigs(d)
+// k40cTraceDataset replays the committed Tesla K40c measurement trace
+// into the training dataset its golden fit (testdata/k40c-fit-model.json)
+// comes from.
+func k40cTraceDataset(t *testing.T) *Dataset {
+	t.Helper()
+	r, err := trace.Open("../../testdata/k40c-fit.trace.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int, len(d.Configs))
-	for i := range all {
-		all[i] = i
+	p, err := profiler.New(r)
+	if err != nil {
+		t.Fatal(err)
 	}
+	dev := p.HW()
+	d, err := BuildDataset(context.Background(), p, microbench.Suite(), dev.DefaultConfig(), dev.AllConfigs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
-	cases := []struct {
-		name string
-		volt *VoltageTable
-		idx  []int
-	}{
-		{"unit-voltages/init-subset", NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs), init},
-		{"perturbed/all-configs", perturbedVoltages(d, 3), all},
-		{"perturbed2/all-configs", perturbedVoltages(d, 11), all},
-		{"perturbed2/init-subset", perturbedVoltages(d, 11), init},
+// withinRel reports whether got is within tol of want, relative to |want|.
+func withinRel(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Abs(want)
+}
+
+// TestIncrementalAssemblyBitwiseEquivalent pins steps 1 and 3 and the
+// training SSE, which run on the projection R·M_c of each configuration's
+// design block (estimatorWorkspace), to the full nb-rows-per-configuration
+// design: referenceSolveX and referenceTrainingSSE are the oracles.
+//
+// For each dataset, voltage table and configuration subset it requires
+//   - the projected NNLS solution, solved cold and warm-started from the
+//     previous table's solution as step 3 is, to reach a full-design
+//     objective within 1e-10 relative of the oracle solution's. Objectives
+//     are compared, not coefficients: near-collinear columns make x
+//     non-unique;
+//   - the projected SSE within 1e-10 relative of the full design's, at the
+//     oracle solution and at a random x.
+//
+// The datasets are a GTX Titan X-shaped synthetic one (83 benchmarks on
+// the 16×4 ladder), one with fewer benchmarks than Φ has columns (padded
+// to a square), one whose SF utilization is zero for every benchmark (a
+// rank-deficient Φ) and the real K40c dataset replayed from its golden
+// trace. The tables are V̄ ≡ 1, two random ones and the fit's own final
+// table, where the NNLS stopping rule decides the static split. One
+// workspace serves every dataset, so reuse across shapes is covered too.
+func TestIncrementalAssemblyBitwiseEquivalent(t *testing.T) {
+	const tol = 1e-10
+	truth := defaultSyntheticTruth()
+	zeroSF := syntheticDataset(truth, 24, 2.0, 9)
+	for _, b := range zeroSF.Benchmarks {
+		delete(b.Util, hw.SF)
 	}
-	x := make([]float64, nParams)
-	for _, tc := range cases {
-		want, err := referenceSolveX(d, tc.volt, tc.idx)
+	datasets := []struct {
+		name string
+		d    *Dataset
+	}{
+		{"gtx-titan-x-shape", syntheticDataset(truth, 82, 2.0, 7)},
+		{"fewer-benchmarks-than-features", syntheticDataset(truth, 4, 2.0, 5)},
+		{"zero-utilization-column", zeroSF},
+		{"k40c-trace", k40cTraceDataset(t)},
+	}
+	// Typical coefficient magnitudes, for random x near the data's scale.
+	typical := [nParams]float64{40, 0.05, 20, 0.02, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05}
+	rng := stats.NewRNG(13)
+	var ws *estimatorWorkspace
+	for _, ds := range datasets {
+		d := ds.d
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: %v", ds.name, err)
+		}
+		if ws == nil {
+			ws = newEstimatorWorkspace(d)
+		} else {
+			ws.reset(d)
+		}
+		fit, err := Estimate(context.Background(), d, nil)
 		if err != nil {
-			t.Fatalf("%s: referenceSolveX: %v", tc.name, err)
+			t.Fatalf("%s: Estimate: %v", ds.name, err)
 		}
-		if err := ws.solveXInto(x, tc.volt, tc.idx); err != nil {
-			t.Fatalf("%s: solveXInto: %v", tc.name, err)
+		init, err := initialConfigs(d)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range want {
-			if math.Float64bits(x[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s: x[%d] = %x, want %x (not bitwise equal)", tc.name, j, x[j], want[j])
+		all := make([]int, len(d.Configs))
+		var odd []int
+		for i := range all {
+			all[i] = i
+			if i%2 == 1 {
+				odd = append(odd, i)
 			}
 		}
+		tables := []struct {
+			name string
+			volt *VoltageTable
+		}{
+			{"unit", NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs)},
+			{"random3", perturbedVoltages(d, 3)},
+			{"random11", perturbedVoltages(d, 11)},
+			{"fitted", fit.Voltages},
+		}
+		for _, subset := range []struct {
+			name string
+			idx  []int
+		}{{"init", init}, {"all", all}, {"odd", odd}} {
+			warm := make([]float64, nParams)
+			for _, tb := range tables {
+				name := ds.name + "/" + subset.name + "/" + tb.name
+				want, err := referenceSolveX(d, tb.volt, subset.idx)
+				if err != nil {
+					t.Fatalf("%s: referenceSolveX: %v", name, err)
+				}
+				wantObj, err := referenceTrainingSSE(d, tb.volt, subset.idx, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold := make([]float64, nParams)
+				for _, run := range []struct {
+					start string
+					x     []float64
+				}{{"cold", cold}, {"warm", warm}} {
+					if err := ws.solveXInto(run.x, tb.volt, subset.idx); err != nil {
+						t.Fatalf("%s: %s solveXInto: %v", name, run.start, err)
+					}
+					obj, err := referenceTrainingSSE(d, tb.volt, subset.idx, run.x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !withinRel(obj, wantObj, tol) {
+						t.Errorf("%s: %s solve's full-design objective %.17g, oracle's %.17g (rel %.3g)",
+							name, run.start, obj, wantObj, (obj-wantObj)/wantObj)
+					}
+				}
 
-		wantSSE, err := referenceTrainingSSE(d, tc.volt, x)
-		if err != nil {
-			t.Fatalf("%s: referenceTrainingSSE: %v", tc.name, err)
-		}
-		gotSSE, err := ws.trainingSSE(tc.volt, x)
-		if err != nil {
-			t.Fatalf("%s: trainingSSE: %v", tc.name, err)
-		}
-		if math.Float64bits(gotSSE) != math.Float64bits(wantSSE) {
-			t.Fatalf("%s: SSE = %x, want %x (not bitwise equal)", tc.name, gotSSE, wantSSE)
+				xr := make([]float64, nParams)
+				for j := range xr {
+					xr[j] = typical[j] * rng.Float64()
+				}
+				for _, x := range [][]float64{want, xr} {
+					wantSSE, err := referenceTrainingSSE(d, tb.volt, all, x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ws.trainingSSE(tb.volt, x)
+					if err != nil {
+						t.Fatalf("%s: trainingSSE: %v", name, err)
+					}
+					if !withinRel(got, wantSSE, tol) {
+						t.Errorf("%s: SSE %.17g, full design %.17g (rel %.3g) at x = %v",
+							name, got, wantSSE, (got-wantSSE)/wantSSE, x)
+					}
+				}
+			}
 		}
 	}
 }
@@ -171,9 +270,9 @@ func TestSolveVoltagesBasePrecomputes(t *testing.T) {
 }
 
 // TestSolveXIntoSubsetAllocFree pins the step-1 subset path: solving over
-// initialConfigs (rows != full design height) must reuse the cached
-// subset-shaped buffers after the first call instead of allocating a fresh
-// matrix and right-hand side per solve.
+// initialConfigs (fewer rows than the full ladder's projection) must
+// reshape the held design buffer rather than allocate a matrix and
+// right-hand side per solve.
 func TestSolveXIntoSubsetAllocFree(t *testing.T) {
 	d := syntheticDataset(defaultSyntheticTruth(), 24, 2.0, 7)
 	ws := newEstimatorWorkspace(d)
@@ -186,7 +285,6 @@ func TestSolveXIntoSubsetAllocFree(t *testing.T) {
 	}
 	volt := NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs)
 	x := make([]float64, nParams)
-	// Warm once: the first subset solve sizes ws.subA/ws.subB.
 	if err := ws.solveXInto(x, volt, init); err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func estimateReference(d *Dataset) (*Model, error) {
 
 		dv := voltageDelta(prevVolt, volt)
 		dx := relDelta(prevX, x)
-		sse, err := referenceTrainingSSE(d, volt, x)
+		sse, err := referenceTrainingSSE(d, volt, allConfigs, x)
 		if err != nil {
 			return nil, fmt.Errorf("core: SSE evaluation (iteration %d) failed: %w", iter, err)
 		}

@@ -281,32 +281,6 @@ func TestEstimateInputValidation(t *testing.T) {
 	}
 }
 
-func TestDatasetValidate(t *testing.T) {
-	truth := defaultSyntheticTruth()
-	d := syntheticDataset(truth, 5, 0, 7)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]func(d *Dataset){
-		"no benchmarks":  func(d *Dataset) { d.Benchmarks = nil; d.Power = nil },
-		"row mismatch":   func(d *Dataset) { d.Power = d.Power[:2] },
-		"ragged row":     func(d *Dataset) { d.Power[0] = d.Power[0][:3] },
-		"negative power": func(d *Dataset) { d.Power[1][2] = -5 },
-		"NaN power":      func(d *Dataset) { d.Power[1][2] = math.NaN() },
-		"infinite power": func(d *Dataset) { d.Power[1][2] = math.Inf(1) },
-		"bad utilization": func(d *Dataset) {
-			d.Benchmarks[0].Util = Utilization{hw.SP: 2}
-		},
-	}
-	for name, mod := range cases {
-		dd := syntheticDataset(truth, 5, 0, 7)
-		mod(dd)
-		if err := dd.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 // TestEstimateRejectsNonFiniteMeasurements pins the input guard: one NaN or
 // +Inf power sample, or one NaN utilization, must fail the fit rather than
 // come back as a "converged" all-zero or infinite model.
@@ -509,10 +483,10 @@ func TestEstimateRejectsInvalidKnownVoltages(t *testing.T) {
 }
 
 // TestEstimateInvalidModelReturnsNil pins the exits that reject a fit: an
-// invalid input or a model that fails Model.Validate comes back as an
-// error with no model beside it. A known-voltage table with V̄core = −1 is
-// rejected before step 3; a dataset whose L2 bytes/cycle is zero fits, on
-// the alternation and on the ablation path, and fails Model.Validate.
+// invalid input comes back as an error with no model beside it. A
+// known-voltage table with V̄core = −1 is rejected before step 3; a dataset
+// whose L2 bytes/cycle is zero is refused by Dataset.Validate before step
+// 1, on the alternation and on the ablation path.
 func TestEstimateInvalidModelReturnsNil(t *testing.T) {
 	truth := defaultSyntheticTruth()
 	d := syntheticDataset(truth, 10, 0, 10)

@@ -30,7 +30,7 @@ import (
 
 // flatUtil is a utilization vector flattened into the canonical component
 // order — CoreOmegaOrder (= hw.CoreComponents) then DRAM — matching the
-// estimator's base blocks. Flattening once moves every hot prediction loop
+// estimator's utilization blocks. Flattening once moves every hot prediction loop
 // off map lookups while preserving the exact values the map path reads.
 type flatUtil [nUtil]float64
 

@@ -5,8 +5,8 @@
 //
 // It is deliberately self-contained (stdlib only) and tuned for the modest
 // problem sizes of the model-fitting pipeline (at most a few thousand rows
-// by about a dozen columns: the largest is the GTX Titan X's 5,312 × 11
-// step-3 NNLS), not for BLAS-scale workloads.
+// by about a dozen columns; the GTX Titan X fit's step-3 NNLS is 512 × 11),
+// not for BLAS-scale workloads.
 package linalg
 
 import (

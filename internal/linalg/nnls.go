@@ -133,6 +133,16 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 //
 //gpower:noalloc the warm start and the active-set iteration run entirely on preallocated workspace storage
 func (ws *NNLSWorkspace) WarmSolveInto(dst []float64, a *Matrix, b []float64) error {
+	return ws.WarmSolveScaledInto(dst, a, b, a.MaxAbs()*Norm2(b))
+}
+
+// WarmSolveScaledInto is WarmSolveInto with the stopping rule's scale
+// given by the caller: the iteration stops when no clamped variable's
+// gradient exceeds 1e-10·scale, where WarmSolveInto passes MaxAbs(A)·‖b‖.
+// A caller that solves a projection of a larger system — same AᵀA and Aᵀb,
+// hence the same gradients, but larger entries — passes the larger
+// system's MaxAbs·‖b‖, so the projection stops where that system would.
+func (ws *NNLSWorkspace) WarmSolveScaledInto(dst []float64, a *Matrix, b []float64, scale float64) error {
 	m, n := a.Rows(), a.Cols()
 	if len(b) != m {
 		//gpower:allocs validation error path: a mis-sized rhs never reaches the solver
@@ -157,8 +167,6 @@ func (ws *NNLSWorkspace) WarmSolveInto(dst []float64, a *Matrix, b []float64) er
 		maxOuter = 3 * 64
 		tol      = 1e-10
 	)
-	// Scale tolerance with the problem.
-	scale := a.MaxAbs() * Norm2(b)
 	if scale == 0 {
 		for j := range x {
 			x[j] = 0

@@ -171,13 +171,11 @@ func fullRank(rdia []float64) bool {
 	return true
 }
 
-// qrSolveInto solves the factored least-squares system into dst (len n),
-// using y (len m) as scratch for the Qᵀ·b application. It performs no
-// allocation; rank checking is the caller's responsibility.
-func qrSolveInto(f *QR, dst, y, b []float64) {
+// applyQT overwrites y (len m) with Qᵀ·y, one contiguous reflector column
+// at a time. A zero reflector (a column that was already zero from the
+// diagonal down) is skipped, as householder skipped it.
+func applyQT(f *QR, y []float64) {
 	m, n := f.m, f.n
-	copy(y, b)
-	// Apply Qᵀ to b, one contiguous reflector column at a time.
 	for k := 0; k < n; k++ {
 		v := f.data[k*m+k : (k+1)*m]
 		if v[0] == 0 {
@@ -193,6 +191,15 @@ func qrSolveInto(f *QR, dst, y, b []float64) {
 			yk[i] += s * vi
 		}
 	}
+}
+
+// qrSolveInto solves the factored least-squares system into dst (len n),
+// using y (len m) as scratch for the Qᵀ·b application. It performs no
+// allocation; rank checking is the caller's responsibility.
+func qrSolveInto(f *QR, dst, y, b []float64) {
+	m, n := f.m, f.n
+	copy(y, b)
+	applyQT(f, y)
 	// Back substitution R·x = y; R's row k is entry k of each later column.
 	for k := n - 1; k >= 0; k-- {
 		s := y[k]
@@ -344,6 +351,36 @@ func (w *QRWorkspace) SolveInto(dst, b []float64) error {
 	}
 	qrSolveInto(&w.qr, dst, w.y[:m], b)
 	return nil
+}
+
+// ApplyQT overwrites y (len Rows of the last Factorize) with Qᵀ·y, the
+// reflectors of SolveInto's first phase. With R it projects a system onto
+// the column space of the factorized matrix: for A = Q·R, the first Cols
+// entries of Qᵀ·b are R's right-hand side and the rest are b's component
+// outside A's span.
+func (w *QRWorkspace) ApplyQT(y []float64) error {
+	if !w.factored {
+		return fmt.Errorf("linalg: QR workspace ApplyQT before Factorize")
+	}
+	if len(y) != w.qr.m {
+		return fmt.Errorf("linalg: ApplyQT length %d, want %d", len(y), w.qr.m)
+	}
+	applyQT(&w.qr, y)
+	return nil
+}
+
+// R returns entry (i, j) of the last factorization's upper-triangular R
+// (Cols × Cols): zero below the diagonal. Like Q·R = A it holds at any
+// rank; a column that was zero from the diagonal down leaves a zero on R's
+// diagonal.
+func (w *QRWorkspace) R(i, j int) float64 {
+	switch {
+	case i > j:
+		return 0
+	case i == j:
+		return w.qr.rdia[i]
+	}
+	return w.qr.data[j*w.qr.m+i]
 }
 
 // LeastSquares solves min_x ‖A·x − b‖₂ via QR.

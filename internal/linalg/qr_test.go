@@ -131,3 +131,54 @@ func TestRidgeRejectsNegativeLambda(t *testing.T) {
 		t.Fatal("negative lambda accepted")
 	}
 }
+
+// TestQRWorkspaceApplyQTAndR pins the projection accessors against the
+// identity Qᵀ·A = [R; 0]: applying Qᵀ to each column of A must give R's
+// column over its first Cols entries and zero below, at full rank, with a
+// zero column (R keeps a zero diagonal entry) and for a square A.
+func TestQRWorkspaceApplyQTAndR(t *testing.T) {
+	w := NewQRWorkspace(83, 8)
+	y := make([]float64, 84)
+	if err := w.ApplyQT(y); err == nil {
+		t.Fatal("ApplyQT before Factorize accepted")
+	}
+	rng := stats.NewRNG(4)
+	for _, tc := range []struct {
+		m, n, zeroCol int // zeroCol < 0: none
+	}{{83, 8, -1}, {83, 8, 3}, {8, 8, -1}, {37, 5, 0}} {
+		a := NewMatrix(tc.m, tc.n)
+		for i := 0; i < tc.m; i++ {
+			for j := 0; j < tc.n; j++ {
+				if j != tc.zeroCol {
+					a.Set(i, j, rng.Float64())
+				}
+			}
+		}
+		if err := w.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ApplyQT(y[:tc.m+1]); err == nil {
+			t.Fatalf("%dx%d: ApplyQT of length %d accepted", tc.m, tc.n, tc.m+1)
+		}
+		for j := 0; j < tc.n; j++ {
+			col := a.Col(j)
+			if err := w.ApplyQT(col); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range col {
+				want := 0.0
+				if i < tc.n {
+					want = w.R(i, j)
+				}
+				if math.Abs(v-want) > 1e-12*float64(tc.m) {
+					t.Fatalf("%dx%d (zero column %d): (Qᵀ·A)[%d][%d] = %g, R gives %g",
+						tc.m, tc.n, tc.zeroCol, i, j, v, want)
+				}
+			}
+		}
+		if tc.zeroCol >= 0 && w.R(tc.zeroCol, tc.zeroCol) != 0 {
+			t.Fatalf("%dx%d: R[%d][%d] = %g for a zero column, want 0",
+				tc.m, tc.n, tc.zeroCol, tc.zeroCol, w.R(tc.zeroCol, tc.zeroCol))
+		}
+	}
+}
