@@ -3,8 +3,9 @@
 # Tiers:
 #   make verify  — tier-1 gate (build + full test suite), what every PR must keep green
 #   make race    — concurrency gate: go vet + the full suite under the race
-#                  detector. The estimation engine fans out across a worker
-#                  pool (internal/parallel); this tier is what keeps the
+#                  detector. Fleet fitting, the experiment drivers and the
+#                  cluster simulator fan out across a worker pool
+#                  (internal/parallel); this tier is what keeps the
 #                  disjoint-write invariants honest and must gate every PR
 #                  that touches a parallel loop.
 #   make cover   — full suite with coverage; prints the total and writes
@@ -35,7 +36,6 @@
 #   make lint-bench — cold vs warm timing into a fresh facts dir; the
 #                  numbers recorded in EXPERIMENTS.md come from here.
 #   make bench   — regenerate the paper's tables/figures (EXPERIMENTS.md numbers)
-#   make speedup — serial vs parallel Estimate comparison per device catalog
 #   make bench-json — run the perf-relevant Go benchmarks of the root package
 #                  and internal/cluster and consolidate their rows (ns/op,
 #                  B/op, allocs/op and each row's reported metrics: fleet
@@ -47,8 +47,8 @@
 #                  benchmark fails the target before benchjson runs;
 #                  benchjson fails after writing the file if a root is
 #                  unproven or a gated row is missing or above its
-#                  ceiling: one serial GTX Titan X fit
-#                  (BenchmarkEstimateSerial/GTX_Titan_X) 1000 ms,
+#                  ceiling: one GTX Titan X fit
+#                  (BenchmarkEstimate/GTX_Titan_X) 100 ms,
 #                  BenchmarkServePredict 82 ms and BenchmarkClusterEvents
 #                  1296 ms per op (the table in cmd/benchjson). BENCHTIME=1x
 #                  makes it a smoke run (CI default here); raise it locally
@@ -61,10 +61,10 @@ BENCHTIME ?= 1x
 # The benchmark subset bench-json records, and the packages it runs: the
 # estimation, DVFS, serving and cluster hot paths this repo optimizes, not
 # the full paper-figure regeneration suite.
-BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate(Serial|Parallel)|FleetFit|ServePredict|ClusterEvents)$$'
+BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate|FleetFit|ServePredict|ClusterEvents)$$'
 BENCH_JSON_PACKAGES = ./ ./internal/cluster/
 
-.PHONY: all build test verify vet race lint alloccheck lint-bench cover bench speedup bench-json clean
+.PHONY: all build test verify vet race lint alloccheck lint-bench cover bench bench-json clean
 
 all: verify
 
@@ -129,9 +129,6 @@ cover:
 
 bench:
 	$(GO) test -bench . -benchmem ./
-
-speedup:
-	$(GO) test -run NONE -bench 'BenchmarkEstimate(Serial|Parallel)' -benchtime 3x ./
 
 # bench-json builds benchjson rather than `go run`ning it, like alloccheck
 # above: only a built binary carries the commit it stamps into the artifact.

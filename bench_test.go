@@ -26,7 +26,6 @@ import (
 	"gpupower/internal/hw"
 	"gpupower/internal/linalg"
 	"gpupower/internal/microbench"
-	"gpupower/internal/parallel"
 	"gpupower/internal/registry"
 	"gpupower/internal/serve"
 	"gpupower/internal/silicon"
@@ -384,17 +383,16 @@ func BenchmarkTimeModel(b *testing.B) {
 	}
 }
 
-// --- Parallel estimation engine benchmarks ----------------------------------
+// --- Estimation benchmarks --------------------------------------------------
 //
-// BenchmarkEstimate{Serial,Parallel}/<device> compare the Section III-D fit
-// on the sequential oracle path vs the worker-pool path, per device catalog
+// BenchmarkEstimate/<device> times the Section III-D fit per device catalog
 // (Titan Xp: 22×2 ladder, GTX Titan X: 16×4, Tesla K40c: 4×1). The dataset
-// is measured once outside the timer; the loop times Estimate alone.
+// is measured once outside the timer; the loop times Estimate alone, one
+// fit per op. Its GTX Titan X row is one of the rows `make bench-json`
+// gates with a ceiling: a fit is serial, so its time does not depend on
+// the host's core count.
 //
-//	go test -bench 'BenchmarkEstimate(Serial|Parallel)' -benchtime 3x
-//
-// The speedup column recorded in EXPERIMENTS.md comes from these two
-// benchmarks at matching GOMAXPROCS.
+//	go test -run NONE -bench 'BenchmarkEstimate$' -benchtime 10x
 
 func estimateDataset(b *testing.B, device string) *core.Dataset {
 	b.Helper()
@@ -409,27 +407,10 @@ func estimateDataset(b *testing.B, device string) *core.Dataset {
 	return d
 }
 
-func benchmarkEstimate(b *testing.B, sequential bool) {
+func BenchmarkEstimate(b *testing.B) {
 	for _, device := range []string{gpupower.TitanXp, gpupower.GTXTitanX, gpupower.TeslaK40c} {
 		b.Run(device, func(b *testing.B) {
 			d := estimateDataset(b, device)
-			prev := gpupower.SetSequential(sequential)
-			defer gpupower.SetSequential(prev)
-			if !sequential {
-				// This benchmark exists to measure the worker-pool path;
-				// measuring the serial path under the "Parallel" name would
-				// poison every speedup comparison derived from it. Widen the
-				// scheduler on single-core hosts, then fail loudly if the
-				// pool still won't fan out (e.g. sequential mode or a
-				// max-workers cap leaked in from elsewhere).
-				if runtime.GOMAXPROCS(0) < 2 {
-					prevProcs := runtime.GOMAXPROCS(2)
-					defer runtime.GOMAXPROCS(prevProcs)
-				}
-				if w := parallel.Workers(); w <= 1 {
-					b.Fatalf("parallel benchmark would run sequentially: parallel.Workers() = %d", w)
-				}
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Estimate(context.Background(), d, nil); err != nil {
@@ -439,14 +420,6 @@ func benchmarkEstimate(b *testing.B, sequential bool) {
 		})
 	}
 }
-
-// BenchmarkEstimateSerial fits on the sequential oracle path. Its GTX Titan
-// X row is one of the rows `make bench-json` gates with a ceiling: the
-// serial fit time does not depend on the host's core count.
-func BenchmarkEstimateSerial(b *testing.B) { benchmarkEstimate(b, true) }
-
-// BenchmarkEstimateParallel fits with the worker pool (GOMAXPROCS-sized).
-func BenchmarkEstimateParallel(b *testing.B) { benchmarkEstimate(b, false) }
 
 // BenchmarkFleetFit measures fleet-scale fitting throughput: nine
 // heterogeneous registry members fitted concurrently with per-worker

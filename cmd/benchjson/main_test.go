@@ -9,7 +9,7 @@ import (
 // TestCheckFitCeiling covers every ceilings row under, at and over its
 // ceiling and missing from the output, with the other rows at theirs.
 func TestCheckFitCeiling(t *testing.T) {
-	other := BenchEntry{Name: "BenchmarkEstimateParallel/GTX_Titan_X", NsPerOp: 5e9}
+	other := BenchEntry{Name: "BenchmarkEstimate/Titan_Xp", NsPerOp: 5e9}
 	for i, c := range ceilings {
 		// with returns every ceiling row at its ceiling, row i set to ns
 		// (or dropped when ns < 0), plus an ungated row far above all.
@@ -79,8 +79,8 @@ func TestParseBenchLine(t *testing.T) {
 			ok: true,
 		},
 		{
-			line: "BenchmarkEstimateSerial/GTX_Titan_X-2   10   203e6 ns/op",
-			want: BenchEntry{Name: "BenchmarkEstimateSerial/GTX_Titan_X", Iterations: 10, NsPerOp: 203e6},
+			line: "BenchmarkEstimate/GTX_Titan_X-2   10   8.2e6 ns/op",
+			want: BenchEntry{Name: "BenchmarkEstimate/GTX_Titan_X", Iterations: 10, NsPerOp: 8.2e6},
 			ok:   true,
 		},
 		{line: "BenchmarkFleetFit"},

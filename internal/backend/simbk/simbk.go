@@ -73,11 +73,7 @@ func (b *Backend) Clocks() hw.Config { return b.dev.Clocks() }
 
 // SampledKernelPower measures one kernel with the paper's sampling loop.
 func (b *Backend) SampledKernelPower(k *kernels.KernelSpec, minWall time.Duration) (float64, backend.RunInfo, error) {
-	w, run, err := b.dev.SampledAveragePower(k, minWall)
-	if err != nil {
-		return 0, backend.RunInfo{}, err
-	}
-	return w, runInfo(run), nil
+	return b.dev.SampledAveragePower(k, minWall)
 }
 
 // SampledIdlePower measures the awake-but-idle device.

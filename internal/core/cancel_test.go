@@ -12,7 +12,7 @@ import (
 // The cancellation regression tests: long-running pipeline stages must
 // return promptly with an error wrapping context.Canceled (run under -race
 // by make race, which is what catches a cancellation path that races the
-// worker pool).
+// fit).
 
 func TestEstimateCanceledBeforeStart(t *testing.T) {
 	d := syntheticDataset(defaultSyntheticTruth(), 60, 0, 1)

@@ -8,7 +8,6 @@ import (
 	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 	"gpupower/internal/linalg"
-	"gpupower/internal/parallel"
 )
 
 // EstimatorOptions tunes the Section III-D iterative algorithm. The zero
@@ -75,33 +74,6 @@ func DefaultEstimatorOptions() *EstimatorOptions {
 // nParams is the length of X = [β0 β1 β2 β3 ω_int ω_sp ω_dp ω_sf ω_sh ω_l2 ω_mem].
 const nParams = 11
 
-// designRow fills one row of the regression design for benchmark
-// utilization u at configuration cfg with normalized voltages (vc, vm):
-//
-//	P̂ = β0·vc + β1·vc²·fc + β2·vm + β3·vm²·fm
-//	    + Σ_i ω_i·vc²·fc·U_i + ω_mem·vm²·fm·U_dram
-func designRow(u Utilization, cfg hw.Config, vc, vm float64) []float64 {
-	row := make([]float64, nParams)
-	designRowInto(row, u, cfg, vc, vm)
-	return row
-}
-
-// designRowInto is the allocation-free form of designRow: it fills dst
-// (len nParams) in place. The estimator never builds these rows: it solves
-// their projection (estimatorWorkspace), which the tests check against the
-// row-by-row design.
-func designRowInto(dst []float64, u Utilization, cfg hw.Config, vc, vm float64) {
-	fc, fm := cfg.CoreMHz, cfg.MemMHz
-	dst[0] = vc
-	dst[1] = vc * vc * fc
-	dst[2] = vm
-	dst[3] = vm * vm * fm
-	for i, c := range CoreOmegaOrder {
-		dst[4+i] = vc * vc * fc * u[c]
-	}
-	dst[10] = vm * vm * fm * u[hw.DRAM]
-}
-
 // paramsToModel unpacks the X vector into model fields.
 func paramsToModel(m *Model, x []float64) {
 	copy(m.Beta[:], x[:4])
@@ -110,17 +82,6 @@ func paramsToModel(m *Model, x []float64) {
 		m.OmegaCore[c] = x[4+i]
 	}
 	m.OmegaMem = x[10]
-}
-
-// modelToParams packs model fields back into an X vector.
-func modelToParams(m *Model) []float64 {
-	x := make([]float64, nParams)
-	copy(x[:4], m.Beta[:])
-	for i, c := range CoreOmegaOrder {
-		x[4+i] = m.OmegaCore[c]
-	}
-	x[10] = m.OmegaMem
-	return x
 }
 
 // nUtil is the length of a benchmark's utilization block: the six
@@ -310,35 +271,18 @@ func (ws *estimatorWorkspace) solveXInto(dst []float64, volt *VoltageTable, conf
 	return ws.nnls.WarmSolveScaledInto(dst, a, b, maxAbs*math.Sqrt(psq))
 }
 
-// solveX is the workspace-per-call form of solveXInto, kept for tests and
-// one-shot callers.
-func solveX(d *Dataset, volt *VoltageTable, configIdx []int) ([]float64, error) {
-	ws := newEstimatorWorkspace(d)
-	x := make([]float64, nParams)
-	if err := ws.solveXInto(x, volt, configIdx); err != nil {
-		return nil, err
-	}
-	return x, nil
+// step2Moments are the voltage- and frequency-independent parts of step 2's
+// per-configuration objectives for one parameter vector X.
+type step2Moments struct {
+	beta0, beta2, nb                float64
+	sumA, sumB, sumA2, sumB2, sumAB float64
 }
 
-// solveVoltages performs step 2: for every configuration, estimate
-// (V̄core, V̄mem) by minimizing the squared prediction error over the
-// benchmark set, then project each domain's ladder onto the monotonicity
-// constraint (Eq. 12) and renormalize so V̄(ref) = 1.
-//
-// The per-configuration objective Σ_b (P_b − β0·vc − fc·A_b·vc² − β2·vm −
-// fm·B_b·vm²)² is compiled into a closed-form bivariate quartic
-// (linalg.Quartic2D) before the search: the benchmark sum collapses into
-// thirteen monomial coefficients, one O(nb) pass per configuration, so every
-// evaluation inside the golden-section descent costs O(1) instead of O(nb).
-// This removed the dominant cost of a fit (the objective loop was >50% of
-// Estimate's profile); estimate_reference_test.go keeps the direct-
-// evaluation arithmetic as a test oracle.
-func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opts *EstimatorOptions) error {
-	// Precompute A_b = β1 + Σ ω_i U_ib and B_b = β3 + ω_mem·U_dram,b on the
-	// reused workspace buffers, reading Φ's utilization blocks (same
-	// accumulation order as the historical map-walking loop).
-	d := ws.d
+// moments fills ws.A and ws.B for X, A_b = β1 + Σ ω_i U_ib and
+// B_b = β3 + ω_mem·U_dram,b (reading Φ's utilization blocks, in the
+// accumulation order of the historical map-walking loop), and returns
+// their moments.
+func (ws *estimatorWorkspace) moments(x []float64) step2Moments {
 	A, B := ws.A, ws.B
 	for bi := 0; bi < ws.nb; bi++ {
 		ub := ws.ub(bi)
@@ -348,68 +292,79 @@ func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opt
 		}
 		B[bi] = x[3] + x[nParams-1]*ub[nUtil-1]
 	}
-	beta0, beta2 := x[0], x[2]
-
-	// Voltage- and frequency-independent moments of the per-benchmark slope
-	// terms, shared by every configuration's compiled objective (the
-	// config-dependent factors fc, fm scale them per config below).
-	var sumA, sumB, sumA2, sumB2, sumAB float64
+	m := step2Moments{beta0: x[0], beta2: x[2], nb: float64(ws.nb)}
 	for bi := 0; bi < ws.nb; bi++ {
-		sumA += A[bi]
-		sumB += B[bi]
-		sumA2 += A[bi] * A[bi]
-		sumB2 += B[bi] * B[bi]
-		sumAB += A[bi] * B[bi]
+		m.sumA += A[bi]
+		m.sumB += B[bi]
+		m.sumA2 += A[bi] * A[bi]
+		m.sumB2 += B[bi] * B[bi]
+		m.sumAB += A[bi] * B[bi]
 	}
-	nbf := float64(ws.nb)
+	return m
+}
 
-	// The per-configuration solves are independent (the paper's step 2 is a
-	// separate 2-D minimization per V-F point), so they fan out across the
-	// worker pool. Each iteration writes exactly one (mi, ci) slot of the
-	// voltage table — dataset configurations are unique (Dataset.Validate) —
-	// so the writes are disjoint, and the per-config arithmetic is
-	// straight-line, so the table is bitwise-identical to the serial fill.
-	err := parallel.ForEach(len(d.Configs), func(fi int) error {
-		cfg := d.Configs[fi]
+// quartic compiles configuration fi's step-2 objective
+// Σ_b (P_b − β0·vc − fc·A_b·vc² − β2·vm − fm·B_b·vm²)² into its thirteen
+// monomial coefficients, from m and one fused pass over the benchmarks'
+// power at fi.
+func (ws *estimatorWorkspace) quartic(fi int, m *step2Moments) linalg.Quartic2D {
+	cfg := ws.d.Configs[fi]
+	fc, fm := cfg.CoreMHz, cfg.MemMHz
+	var sumD, sumD2, sumDA, sumDB float64
+	for bi := 0; bi < ws.nb; bi++ {
+		pd := ws.d.Power[bi][fi]
+		sumD += pd
+		sumD2 += pd * pd
+		sumDA += pd * ws.A[bi]
+		sumDB += pd * ws.B[bi]
+	}
+	beta0, beta2 := m.beta0, m.beta2
+	return linalg.Quartic2D{
+		C00: sumD2,
+		C10: -2 * beta0 * sumD,
+		C20: m.nb*beta0*beta0 - 2*fc*sumDA,
+		C30: 2 * beta0 * fc * m.sumA,
+		C40: fc * fc * m.sumA2,
+		C01: -2 * beta2 * sumD,
+		C02: m.nb*beta2*beta2 - 2*fm*sumDB,
+		C03: 2 * beta2 * fm * m.sumB,
+		C04: fm * fm * m.sumB2,
+		C11: 2 * m.nb * beta0 * beta2,
+		C12: 2 * beta0 * fm * m.sumB,
+		C21: 2 * beta2 * fc * m.sumA,
+		C22: 2 * fc * fm * m.sumAB,
+	}
+}
+
+// solveVoltages performs step 2: for every configuration, estimate
+// (V̄core, V̄mem) by minimizing the squared prediction error over the
+// benchmark set, then project each domain's ladder onto the monotonicity
+// constraint (Eq. 12) and renormalize so V̄(ref) = 1.
+//
+// Each configuration's objective is compiled into a closed-form bivariate
+// quartic (quartic, one O(nb) pass) and minimized by linalg.Quartic2D's
+// projected Newton method, five to six O(1) steps (DESIGN.md §10.2b). The
+// configurations run in one serial loop: at this cost a per-configuration
+// fan-out loses on every catalog device (DESIGN.md §7).
+func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opts *EstimatorOptions) error {
+	d := ws.d
+	m := ws.moments(x)
+	for fi, cfg := range d.Configs {
 		if cfg == d.Ref {
-			//lint:ignore disjointwrite iteration fi writes only cfg's own (mi,ci) slot; configs are unique (Dataset.Validate)
-			return volt.Set(cfg, 1, 1)
+			if err := volt.Set(cfg, 1, 1); err != nil {
+				return err
+			}
+			continue
 		}
-		fc, fm := cfg.CoreMHz, cfg.MemMHz
-		// Config-dependent moments: one fused pass over the benchmarks.
-		var sumD, sumD2, sumDA, sumDB float64
-		for bi := 0; bi < ws.nb; bi++ {
-			pd := d.Power[bi][fi]
-			sumD += pd
-			sumD2 += pd * pd
-			sumDA += pd * A[bi]
-			sumDB += pd * B[bi]
-		}
-		q := linalg.Quartic2D{
-			C00: sumD2,
-			C10: -2 * beta0 * sumD,
-			C20: nbf*beta0*beta0 - 2*fc*sumDA,
-			C30: 2 * beta0 * fc * sumA,
-			C40: fc * fc * sumA2,
-			C01: -2 * beta2 * sumD,
-			C02: nbf*beta2*beta2 - 2*fm*sumDB,
-			C03: 2 * beta2 * fm * sumB,
-			C04: fm * fm * sumB2,
-			C11: 2 * nbf * beta0 * beta2,
-			C12: 2 * beta0 * fm * sumB,
-			C21: 2 * beta2 * fc * sumA,
-			C22: 2 * fc * fm * sumAB,
-		}
+		q := ws.quartic(fi, &m)
 		vc, vm, err := q.Minimize(opts.VoltageLo, opts.VoltageHi,
-			opts.VoltageLo, opts.VoltageHi, 1e-6)
+			opts.VoltageLo, opts.VoltageHi, 1e-12)
 		if err != nil {
 			return err
 		}
-		//lint:ignore disjointwrite iteration fi writes only cfg's own (mi,ci) slot; configs are unique (Dataset.Validate)
-		return volt.Set(cfg, vc, vm)
-	})
-	if err != nil {
-		return err
+		if err := volt.Set(cfg, vc, vm); err != nil {
+			return err
+		}
 	}
 
 	if !opts.DisableMonotonic {
@@ -656,8 +611,7 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 
 	// Steps 2–4: alternate voltage and parameter estimation. The previous-
 	// iteration snapshots live on reused storage (CopyFrom, append into the
-	// same backing array), so the loop body is allocation-light: only step
-	// 2's fan-out allocates.
+	// same backing array), so the loop body allocates nothing.
 	prevX := append([]float64(nil), x...)
 	prevVolt := volt.Clone()
 	prevSSE := math.Inf(1)
@@ -773,11 +727,6 @@ func (ws *estimatorWorkspace) trainingSSE(volt *VoltageTable, x []float64) (floa
 		sse += s
 	}
 	return sse, nil
-}
-
-// trainingSSE is the workspace-per-call form used by tests and diagnostics.
-func trainingSSE(d *Dataset, volt *VoltageTable, x []float64) (float64, error) {
-	return newEstimatorWorkspace(d).trainingSSE(volt, x)
 }
 
 // voltageDelta is the largest absolute voltage change between two tables.

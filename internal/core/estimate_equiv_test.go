@@ -298,6 +298,35 @@ func TestSolveXIntoSubsetAllocFree(t *testing.T) {
 	}
 }
 
+// TestEstimateWithWarmAllocsBounded pins the alternation's loop body at
+// zero allocations: a warm EstimateWith on a reused FitWorkspace must
+// allocate as often over 50 iterations as over 5. What it does allocate
+// is per fit: the model, its voltage table and the previous-iteration
+// snapshots. Tol and SSETol are zero, so both fits run to their caps.
+func TestEstimateWithWarmAllocsBounded(t *testing.T) {
+	d := syntheticDataset(defaultSyntheticTruth(), 82, 2.0, 7)
+	fw := NewFitWorkspace()
+	allocs := func(iters int) float64 {
+		opts := DefaultEstimatorOptions()
+		opts.MaxIterations = iters
+		opts.Tol, opts.SSETol = 0, 0
+		fit := func() {
+			m, err := EstimateWith(context.Background(), d, opts, fw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Iterations != iters {
+				t.Fatalf("fit stopped after %d of %d iterations", m.Iterations, iters)
+			}
+		}
+		fit()
+		return testing.AllocsPerRun(3, fit)
+	}
+	if a5, a50 := allocs(5), allocs(50); a5 != a50 {
+		t.Fatalf("warm EstimateWith allocates %.0f times over 5 iterations and %.0f over 50, want the same count", a5, a50)
+	}
+}
+
 // TestProjectMonotonicAllocFree pins the step-2 monotone projection at
 // zero allocations on held scratch, with every row and column of both
 // voltage ladders violating monotonicity so PAVA pools on each call.
@@ -334,10 +363,11 @@ func TestProjectMonotonicAllocFree(t *testing.T) {
 // TestEstimateMatchesReferenceEngine cross-checks the production engine
 // against the pre-restructuring engine (estimate_reference_test.go) on a
 // synthetic dataset. The engines order their floating-point work
-// differently (row-by-row vs incremental assembly, compiled vs direct
-// step-2 objectives), so agreement is tolerance-based: measured divergence
-// on the real device rigs is ≤1e-5 relative on parameters and ≤6e-6 on
-// voltages; the bounds here leave two orders of magnitude of margin.
+// differently (projected vs row-by-row design, compiled vs direct step-2
+// objectives) and minimize step 2 differently (Newton vs golden section),
+// so agreement is tolerance-based: on this dataset they differ by 7.9e-5
+// of the largest coefficient on parameters and by 2.4e-5 on voltages, 13×
+// and 4× inside the bounds.
 func TestEstimateMatchesReferenceEngine(t *testing.T) {
 	d := syntheticDataset(defaultSyntheticTruth(), 24, 2.0, 7)
 	ref, err := estimateReference(d)
@@ -390,7 +420,8 @@ func TestEstimateMatchesReferenceEngine(t *testing.T) {
 }
 
 // TestDesignRowIntoAllocFree is the allocation regression test for the
-// per-row fill primitive shared by the reference path and external callers.
+// per-row fill the full-design oracles call once per (benchmark,
+// configuration).
 func TestDesignRowIntoAllocFree(t *testing.T) {
 	d := syntheticDataset(defaultSyntheticTruth(), 2, 0, 1)
 	u := d.Benchmarks[0].Util
@@ -401,5 +432,87 @@ func TestDesignRowIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("designRowInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestStep2MinimizeMatchesGoldenSection records every step-2 problem of two
+// fits, the real K40c dataset replayed from its golden trace and the GTX
+// Titan X-shaped synthetic one, and requires Quartic2D.Minimize's Newton
+// point on each to lie in the voltage box at an objective no more than
+// 1e-12 relative above that of the golden-section coordinate descent it
+// replaced (refMinimize2D on the same compiled objective, at its 1e-6
+// tolerance). The test replays the alternation step by step to see each
+// iteration's problems; the replay must end on the fit's own parameters.
+func TestStep2MinimizeMatchesGoldenSection(t *testing.T) {
+	for _, ds := range []struct {
+		name string
+		d    *Dataset
+	}{
+		{"k40c-trace", k40cTraceDataset(t)},
+		{"gtx-titan-x-shape", syntheticDataset(defaultSyntheticTruth(), 82, 2.0, 7)},
+	} {
+		d := ds.d
+		opts := DefaultEstimatorOptions()
+		fit, err := Estimate(context.Background(), d, opts)
+		if err != nil {
+			t.Fatalf("%s: Estimate: %v", ds.name, err)
+		}
+		ws := newEstimatorWorkspace(d)
+		init, err := initialConfigs(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(d.Configs))
+		for i := range all {
+			all[i] = i
+		}
+		volt := NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs)
+		x := make([]float64, nParams)
+		if err := ws.solveXInto(x, volt, init); err != nil {
+			t.Fatal(err)
+		}
+		prev := volt.Clone()
+		lo, hi := opts.VoltageLo, opts.VoltageHi
+		problems := 0
+		for iter := 1; iter <= fit.Iterations; iter++ {
+			m := ws.moments(x)
+			for fi, cfg := range d.Configs {
+				if cfg == d.Ref {
+					continue
+				}
+				q := ws.quartic(fi, &m)
+				vc, vm, err := q.Minimize(lo, hi, lo, hi, 1e-12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gc, gm := refMinimize2D(q.Eval, lo, hi, 1e-6)
+				fGolden := q.Eval(gc, gm)
+				if !(vc >= lo && vc <= hi && vm >= lo && vm <= hi) {
+					t.Fatalf("%s: iteration %d, %v: argmin (%v, %v) outside the voltage box", ds.name, iter, cfg, vc, vm)
+				}
+				if f := q.Eval(vc, vm); !(f <= fGolden+1e-12*math.Abs(fGolden)) {
+					t.Fatalf("%s: iteration %d, %v: objective %.17g, golden section's %.17g (%.3g relative above)",
+						ds.name, iter, cfg, f, fGolden, (f-fGolden)/math.Abs(fGolden))
+				}
+				problems++
+			}
+			if err := ws.solveVoltages(x, volt, opts); err != nil {
+				t.Fatal(err)
+			}
+			if iter > 1 {
+				if err := overRelax(prev, volt, opts, d.Ref, &ws.mono); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ws.solveXInto(x, volt, all); err != nil {
+				t.Fatal(err)
+			}
+			prev.CopyFrom(volt)
+		}
+		if x[0] != fit.Beta[0] || x[2] != fit.Beta[2] || x[nParams-1] != fit.OmegaMem {
+			t.Fatalf("%s: replay ended at β0 %v, β2 %v, ω_mem %v; the fit at %v, %v, %v",
+				ds.name, x[0], x[2], x[nParams-1], fit.Beta[0], fit.Beta[2], fit.OmegaMem)
+		}
+		t.Logf("%s: %d step-2 problems over %d iterations", ds.name, problems, fit.Iterations)
 	}
 }

@@ -5,14 +5,11 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"gpupower/internal/parallel"
 )
 
-// withGOMAXPROCS runs fn with the scheduler width pinned to n, so the
-// parallel paths exercise real goroutine fan-out even on single-core CI
-// hosts (concurrency without parallelism still shakes out races and
-// ordering bugs under -race).
+// withGOMAXPROCS runs fn with the scheduler width pinned to n, so
+// concurrent fits run in parallel even on single-core CI hosts
+// (concurrency without parallelism still shakes out races under -race).
 func withGOMAXPROCS(n int, fn func()) {
 	prev := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(prev)
@@ -51,36 +48,6 @@ func modelsIdentical(t *testing.T, a, b *Model) {
 	}
 }
 
-// TestEstimateSerialParallelEquivalence is the determinism guarantee of the
-// parallel engine: a fit on the sequential oracle path and a fit with the
-// worker pool fanned out must produce bitwise-identical parameters, voltage
-// tables and convergence trajectories (the disjoint-write / ordered-
-// reduction invariants of internal/parallel make this exact, not
-// approximate).
-func TestEstimateSerialParallelEquivalence(t *testing.T) {
-	truth := defaultSyntheticTruth()
-	d := syntheticDataset(truth, 40, 0.5, 7)
-
-	var serial, parallelFit *Model
-	var err error
-
-	prev := parallel.SetSequential(true)
-	serial, err = Estimate(context.Background(), d, nil)
-	parallel.SetSequential(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	withGOMAXPROCS(4, func() {
-		parallelFit, err = Estimate(context.Background(), d, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	modelsIdentical(t, serial, parallelFit)
-}
-
 // TestEstimateConcurrentOnSharedDataset runs several fits against the SAME
 // dataset from concurrent goroutines. Estimate must treat the dataset as
 // read-only — under `go test -race` this test proves it — and every fit
@@ -111,6 +78,11 @@ func TestEstimateConcurrentOnSharedDataset(t *testing.T) {
 			modelsIdentical(t, models[0], models[i])
 		}
 	})
+}
+
+// trainingSSE is the training SSE of x under volt on a fresh workspace.
+func trainingSSE(d *Dataset, volt *VoltageTable, x []float64) (float64, error) {
+	return newEstimatorWorkspace(d).trainingSSE(volt, x)
 }
 
 // TestTrainingSSEPropagatesVoltageError is the regression test for the
@@ -149,39 +121,5 @@ func TestTrainingSSEPropagatesVoltageError(t *testing.T) {
 	}
 	if !withinRel(got, want, 1e-12) {
 		t.Fatalf("SSE(x=0) = %.17g, want the measured power SSE %.17g within 1e-12 relative", got, want)
-	}
-}
-
-// TestSolveXParallelMatchesSequential pins the step-1/step-3 solve as
-// independent of the worker pool: sequential mode and four workers give
-// the same NNLS solution bit for bit.
-func TestSolveXParallelMatchesSequential(t *testing.T) {
-	truth := defaultSyntheticTruth()
-	d := syntheticDataset(truth, 25, 0.25, 5)
-	volt := NewVoltageTable(d.Device.CoreFreqs, d.Device.MemFreqs)
-	all := make([]int, len(d.Configs))
-	for i := range all {
-		all[i] = i
-	}
-
-	prev := parallel.SetSequential(true)
-	xSeq, errSeq := solveX(d, volt, all)
-	parallel.SetSequential(prev)
-	if errSeq != nil {
-		t.Fatal(errSeq)
-	}
-
-	var xPar []float64
-	var errPar error
-	withGOMAXPROCS(4, func() {
-		xPar, errPar = solveX(d, volt, all)
-	})
-	if errPar != nil {
-		t.Fatal(errPar)
-	}
-	for j := range xSeq {
-		if xSeq[j] != xPar[j] {
-			t.Fatalf("x[%d]: sequential %v != parallel %v", j, xSeq[j], xPar[j])
-		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // search.
 
 // refMinimize1D finds a minimizer of f on [lo, hi] by golden-section search
-// refined with a final parabolic step: the historical line search, whose
-// arithmetic Quartic2D.Minimize replays on the compiled objective.
+// refined with a final parabolic step: the historical line search, which
+// Quartic2D.Minimize's Newton method replaced.
 func refMinimize1D(f func(float64) float64, lo, hi, tol float64) float64 {
 	const invPhi = 0.6180339887498949 // 1/φ
 	a, b := lo, hi
@@ -50,7 +50,9 @@ func refMinimize1D(f func(float64) float64, lo, hi, tol float64) float64 {
 }
 
 // refMinimize2D minimizes f on the box [lo,hi]² by coordinate descent with
-// refMinimize1D line searches.
+// refMinimize1D line searches. On a compiled objective (f = q.Eval) it is
+// the step 2 that production ran before the Newton method, the oracle of
+// TestStep2MinimizeMatchesGoldenSection.
 func refMinimize2D(f func(x, y float64) float64, lo, hi, tol float64) (float64, float64) {
 	x := (lo + hi) / 2
 	y := (lo + hi) / 2

@@ -311,6 +311,44 @@ func TestEstimateRejectsNonFiniteMeasurements(t *testing.T) {
 	}
 }
 
+// designRow fills one row of the regression design for benchmark
+// utilization u at configuration cfg with normalized voltages (vc, vm):
+//
+//	P̂ = β0·vc + β1·vc²·fc + β2·vm + β3·vm²·fm
+//	    + Σ_i ω_i·vc²·fc·U_i + ω_mem·vm²·fm·U_dram
+func designRow(u Utilization, cfg hw.Config, vc, vm float64) []float64 {
+	row := make([]float64, nParams)
+	designRowInto(row, u, cfg, vc, vm)
+	return row
+}
+
+// designRowInto is the allocation-free form of designRow: it fills dst
+// (len nParams) in place. The estimator never builds these rows: it solves
+// their projection (estimatorWorkspace), which referenceSolveX and
+// referenceTrainingSSE check against the row-by-row design.
+func designRowInto(dst []float64, u Utilization, cfg hw.Config, vc, vm float64) {
+	fc, fm := cfg.CoreMHz, cfg.MemMHz
+	dst[0] = vc
+	dst[1] = vc * vc * fc
+	dst[2] = vm
+	dst[3] = vm * vm * fm
+	for i, c := range CoreOmegaOrder {
+		dst[4+i] = vc * vc * fc * u[c]
+	}
+	dst[10] = vm * vm * fm * u[hw.DRAM]
+}
+
+// modelToParams packs model fields back into an X vector.
+func modelToParams(m *Model) []float64 {
+	x := make([]float64, nParams)
+	copy(x[:4], m.Beta[:])
+	for i, c := range CoreOmegaOrder {
+		x[4+i] = m.OmegaCore[c]
+	}
+	x[10] = m.OmegaMem
+	return x
+}
+
 func TestDesignRow(t *testing.T) {
 	u := Utilization{hw.Int: 0.1, hw.SP: 0.2, hw.DP: 0.3, hw.SF: 0.4, hw.Shared: 0.5, hw.L2: 0.6, hw.DRAM: 0.7}
 	cfg := hw.Config{CoreMHz: 1000, MemMHz: 2000}

@@ -10,8 +10,8 @@ import (
 
 // minimize1D and minimize2D are the closure-based golden-section searches
 // that step 2 ran before its objective was compiled to a Quartic2D. They
-// stay as the oracle of TestQuartic2DMinimizeMatchesMinimize2D: the same
-// search structure over an arbitrary objective.
+// stay as the oracle of TestQuartic2DMinimizeMatchesMinimize2D, which
+// minimizes the uncompiled sum of squares with them.
 
 // minimize1D finds a minimizer of f on [lo, hi] by golden-section search
 // refined with a final parabolic step. It assumes f is continuous; for the

@@ -71,8 +71,10 @@ func (p *Profiler) MeasureKernelPower(ctx context.Context, k *kernels.KernelSpec
 	vals := make([]float64, 0, p.Repeats)
 	var run backend.RunInfo
 	for i := 0; i < p.Repeats; i++ {
-		if err := backend.CheckContext(ctx, "profiler: measuring "+k.Name); err != nil {
-			return 0, backend.RunInfo{}, err
+		// ctx.Err first: the message is built only once the context is dead,
+		// not on each of the dataset's tens of thousands of measurements.
+		if ctx.Err() != nil {
+			return 0, backend.RunInfo{}, backend.CheckContext(ctx, "profiler: measuring "+k.Name)
 		}
 		v, r, err := p.b.SampledKernelPower(k, p.MinWall)
 		if err != nil {

@@ -2,6 +2,7 @@ package silicon
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,56 @@ func TestPowerBreakdownConsistency(t *testing.T) {
 		if v < 0 {
 			t.Fatalf("negative component power for %s", c)
 		}
+	}
+}
+
+// PowerFromUtilization skips building the breakdown but must return its
+// total to the bit: the simulator's measurements, and so every dataset and
+// golden model, go through it.
+func TestPowerFromUtilizationMatchesBreakdown(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	utils := []map[hw.Component]float64{nil, {}, {hw.SP: -0.5, hw.DRAM: 1}}
+	for i := 0; i < 50; i++ {
+		u := map[hw.Component]float64{}
+		for _, c := range hw.Components {
+			u[c] = rng.Float64()
+		}
+		utils = append(utils, u)
+	}
+	for _, dev := range hw.AllDevices() {
+		tr := MustTruthFor(dev)
+		for _, cfg := range dev.AllConfigs() {
+			for i, u := range utils {
+				got := tr.PowerFromUtilization(cfg, u)
+				want := tr.BreakdownFromUtilization(cfg, u).Total()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v util %d: PowerFromUtilization = %v, breakdown total %v", dev.Name, cfg, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Launch must reject what Simulate rejects.
+func TestLaunchRejectsBadInput(t *testing.T) {
+	dev := hw.GTXTitanX()
+	tr := MustTruthFor(dev)
+	if _, _, err := tr.Launch(testKernel(), hw.Config{CoreMHz: 123, MemMHz: 3505}); err == nil {
+		t.Fatal("Launch accepted an unsupported config")
+	}
+	bad := testKernel()
+	bad.IssueEfficiency = 0
+	if _, _, err := tr.Launch(bad, dev.DefaultConfig()); err == nil {
+		t.Fatal("Launch accepted an invalid kernel")
+	}
+}
+
+func TestLaunchAllocFree(t *testing.T) {
+	dev := hw.GTXTitanX()
+	tr := MustTruthFor(dev)
+	k, cfg := testKernel(), dev.DefaultConfig()
+	if n := testing.AllocsPerRun(100, func() { tr.Launch(k, cfg); tr.IdlePower(cfg) }); n != 0 {
+		t.Fatalf("Launch and IdlePower allocate %v times per call, want 0", n)
 	}
 }
 

@@ -53,11 +53,31 @@ func componentTime(dev *hw.Device, k *kernels.KernelSpec, cfg hw.Config, c hw.Co
 // configuration exactly the way real kernels do (a memory-bound kernel's
 // compute utilization rises as the core slows down).
 func Simulate(dev *hw.Device, k *kernels.KernelSpec, cfg hw.Config) (*Execution, error) {
-	if err := k.Validate(); err != nil {
+	total, err := kernelSeconds(dev, k, cfg)
+	if err != nil {
 		return nil, err
 	}
+	util := make(map[hw.Component]float64, len(hw.Components))
+	for _, c := range hw.Components {
+		util[c] = componentTime(dev, k, cfg, c) / total
+	}
+	return &Execution{
+		Kernel:       k,
+		Config:       cfg,
+		Time:         executionTime(total),
+		Utilization:  util,
+		ActiveCycles: total * cfg.CoreMHz * 1e6,
+	}, nil
+}
+
+// kernelSeconds validates the kernel and the configuration and returns the
+// roofline time Simulate models, in seconds.
+func kernelSeconds(dev *hw.Device, k *kernels.KernelSpec, cfg hw.Config) (float64, error) {
+	if err := k.Validate(); err != nil {
+		return 0, err
+	}
 	if !dev.SupportsCoreFreq(cfg.CoreMHz) || !dev.SupportsMemFreq(cfg.MemMHz) {
-		return nil, fmt.Errorf("silicon: %s does not support %v", dev.Name, cfg)
+		return 0, fmt.Errorf("silicon: %s does not support %v", dev.Name, cfg)
 	}
 
 	var bound float64
@@ -71,21 +91,14 @@ func Simulate(dev *hw.Device, k *kernels.KernelSpec, cfg hw.Config) (*Execution,
 	if total <= 0 {
 		// A descriptor with only fixed cycles and zero throughput work still
 		// has latency; zero total means an empty kernel, rejected above.
-		return nil, fmt.Errorf("silicon: kernel %s has zero execution time", k.Name)
+		return 0, fmt.Errorf("silicon: kernel %s has zero execution time", k.Name)
 	}
+	return total, nil
+}
 
-	util := make(map[hw.Component]float64, len(hw.Components))
-	for _, c := range hw.Components {
-		util[c] = componentTime(dev, k, cfg, c) / total
-	}
-
-	return &Execution{
-		Kernel:       k,
-		Config:       cfg,
-		Time:         time.Duration(total * float64(time.Second)),
-		Utilization:  util,
-		ActiveCycles: total * cfg.CoreMHz * 1e6,
-	}, nil
+// executionTime is a kernel time in seconds as an Execution records it.
+func executionTime(seconds float64) time.Duration {
+	return time.Duration(seconds * float64(time.Second))
 }
 
 // Seconds returns the execution time in seconds.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gpupower/internal/hw"
+	"gpupower/internal/kernels"
 )
 
 // Truth holds the hidden electrical ground truth of one die. The functional
@@ -105,24 +106,55 @@ func (t *Truth) Breakdown(e *Execution) *PowerBreakdown {
 // PowerFromUtilization evaluates the true power at configuration cfg given
 // per-component utilizations.
 func (t *Truth) PowerFromUtilization(cfg hw.Config, util map[hw.Component]float64) float64 {
-	return t.BreakdownFromUtilization(cfg, util).Total()
+	return t.power(cfg, func(c hw.Component) float64 { return util[c] })
+}
+
+// Launch evaluates one launch of kernel k at cfg without building its
+// Execution: the time Simulate(t.Device, k, cfg).Seconds() reports and the
+// true power Power gives that execution, both to the bit. The simulator's
+// measurement loop, which launches every kernel several times at every
+// configuration, runs on it.
+func (t *Truth) Launch(k *kernels.KernelSpec, cfg hw.Config) (seconds, watts float64, err error) {
+	total, err := kernelSeconds(t.Device, k, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	watts = t.power(cfg, func(c hw.Component) float64 {
+		return componentTime(t.Device, k, cfg, c) / total
+	})
+	return executionTime(total).Seconds(), watts, nil
+}
+
+// power is BreakdownFromUtilization(cfg, util).Total() to the bit — the
+// same terms, rounded and summed in the same order — without building the
+// breakdown, for the utilization util(c) of each component.
+func (t *Truth) power(cfg hw.Config, util func(hw.Component) float64) float64 {
+	vc, vm, constant := t.constantPower(cfg)
+	var maxU, dynamic float64
+	for _, c := range hw.Components {
+		u := util(c)
+		if u < 0 {
+			u = 0
+		}
+		if u > maxU {
+			maxU = u
+		}
+		// The conversion rounds each term before the sum, as storing it
+		// in the breakdown's map does; it keeps the product from fusing
+		// with the addition on FMA targets.
+		dynamic += float64(t.componentPower(cfg, vc, vm, c, u))
+	}
+	return constant + float64(t.unmodelledPower(cfg, vc, maxU)) + dynamic
 }
 
 // BreakdownFromUtilization decomposes the true power at cfg for the given
 // utilizations.
 func (t *Truth) BreakdownFromUtilization(cfg hw.Config, util map[hw.Component]float64) *PowerBreakdown {
-	vc := t.CoreVNorm(cfg.CoreMHz)
-	vm := t.MemVNorm(cfg.MemMHz)
-
-	staticCore := t.StaticCore * vc * (1 + t.LeakageKappa*(vc-1))
-	staticMem := t.StaticMem * vm * (1 + t.LeakageKappa*(vm-1))
-	idle := vc*vc*cfg.CoreMHz*t.IdlePerCoreMHz + vm*vm*cfg.MemMHz*t.IdlePerMemMHz
-
+	vc, vm, constant := t.constantPower(cfg)
 	b := &PowerBreakdown{
-		Constant:  staticCore + staticMem + idle,
+		Constant:  constant,
 		Component: make(map[hw.Component]float64, len(hw.Components)),
 	}
-
 	var maxU float64
 	for _, c := range hw.Components {
 		u := util[c]
@@ -132,17 +164,37 @@ func (t *Truth) BreakdownFromUtilization(cfg hw.Config, util map[hw.Component]fl
 		if u > maxU {
 			maxU = u
 		}
-		switch hw.DomainOf(c) {
-		case hw.CoreDomain:
-			b.Component[c] = vc * vc * cfg.CoreMHz * t.Gamma[c] * u
-		case hw.MemoryDomain:
-			b.Component[c] = vm * vm * cfg.MemMHz * t.Gamma[c] * u
-		}
+		b.Component[c] = t.componentPower(cfg, vc, vm, c, u)
 	}
-	// Unmodelled front-end/texture activity tracks overall busyness of the
-	// core domain.
-	b.Unmodelled = vc * vc * cfg.CoreMHz * t.UnmodelledPerMHz * maxU
+	b.Unmodelled = t.unmodelledPower(cfg, vc, maxU)
 	return b
+}
+
+// constantPower returns the true normalized rail voltages at cfg and the
+// static plus idle power of both domains there.
+func (t *Truth) constantPower(cfg hw.Config) (vc, vm, constant float64) {
+	vc = t.CoreVNorm(cfg.CoreMHz)
+	vm = t.MemVNorm(cfg.MemMHz)
+	staticCore := t.StaticCore * vc * (1 + t.LeakageKappa*(vc-1))
+	staticMem := t.StaticMem * vm * (1 + t.LeakageKappa*(vm-1))
+	idle := vc*vc*cfg.CoreMHz*t.IdlePerCoreMHz + vm*vm*cfg.MemMHz*t.IdlePerMemMHz
+	return vc, vm, staticCore + staticMem + idle
+}
+
+// componentPower is component c's dynamic power at cfg, clocked by its
+// domain, for rail voltages vc, vm and utilization u.
+func (t *Truth) componentPower(cfg hw.Config, vc, vm float64, c hw.Component, u float64) float64 {
+	if hw.DomainOf(c) == hw.MemoryDomain {
+		return vm * vm * cfg.MemMHz * t.Gamma[c] * u
+	}
+	return vc * vc * cfg.CoreMHz * t.Gamma[c] * u
+}
+
+// unmodelledPower is the power of the front-end and texture activity the
+// model has no counters for; it tracks the busiest component's utilization
+// maxU, in the core domain.
+func (t *Truth) unmodelledPower(cfg hw.Config, vc, maxU float64) float64 {
+	return vc * vc * cfg.CoreMHz * t.UnmodelledPerMHz * maxU
 }
 
 // IdlePower returns the true power with no kernel executing at cfg.

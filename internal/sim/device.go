@@ -94,34 +94,37 @@ type RunResult struct {
 // Execute runs one kernel launch at the current clocks, applying the TDP
 // governor, and returns the ground-truth outcome.
 func (d *Device) Execute(k *kernels.KernelSpec) (*RunResult, error) {
-	req := d.Clocks()
-	eff := req
-	var exec *silicon.Execution
-	for {
-		e, err := silicon.Simulate(d.hwd, k, eff)
-		if err != nil {
-			return nil, err
-		}
-		p := d.truth.Power(e)
-		if p <= d.hwd.TDP {
-			exec = e
-			break
-		}
-		next, ok := d.stepCoreDown(eff.CoreMHz)
-		if !ok {
-			// Already at the floor; the hardware would throttle below any
-			// ladder level — run at the floor and report its power.
-			exec = e
-			break
-		}
-		eff.CoreMHz = next
+	run, p, err := d.launch(k)
+	if err != nil {
+		return nil, err
 	}
-	return &RunResult{
-		Requested: req,
-		Effective: eff,
-		Exec:      exec,
-		TruePower: d.truth.Power(exec),
-	}, nil
+	exec, err := silicon.Simulate(d.hwd, k, run.Effective)
+	if err != nil {
+		return nil, err
+	}
+	return &RunResult{Requested: run.Requested, Effective: run.Effective, Exec: exec, TruePower: p}, nil
+}
+
+// launch is Execute without the ground-truth record: it applies the TDP
+// governor the same way and returns the launch's configurations and time
+// and its true power, allocating nothing.
+func (d *Device) launch(k *kernels.KernelSpec) (backend.RunInfo, float64, error) {
+	run := backend.RunInfo{Requested: d.Clocks()}
+	run.Effective = run.Requested
+	for {
+		seconds, p, err := d.truth.Launch(k, run.Effective)
+		if err != nil {
+			return backend.RunInfo{}, 0, err
+		}
+		next, ok := d.stepCoreDown(run.Effective.CoreMHz)
+		// At the floor the hardware would throttle below any ladder level:
+		// it runs there and reports its power.
+		if p <= d.hwd.TDP || !ok {
+			run.Seconds = seconds
+			return run, p, nil
+		}
+		run.Effective.CoreMHz = next
+	}
 }
 
 func (d *Device) stepCoreDown(fc float64) (float64, bool) {
@@ -147,19 +150,17 @@ func (d *Device) IdlePower() float64 {
 // sensor noise. When the total run is shorter than one refresh window the
 // reading mixes in pre-launch idle power — the misleading-measurement
 // pathology that motivates the ≥1 s repetition rule.
-func (d *Device) SampledAveragePower(k *kernels.KernelSpec, minWall time.Duration) (float64, *RunResult, error) {
-	run, err := d.Execute(k)
+func (d *Device) SampledAveragePower(k *kernels.KernelSpec, minWall time.Duration) (float64, backend.RunInfo, error) {
+	run, p, err := d.launch(k)
 	if err != nil {
-		return 0, nil, err
+		return 0, backend.RunInfo{}, err
 	}
-	one := run.Exec.Seconds()
 	wall := minWall.Seconds()
-	if one > wall {
-		wall = one
+	if run.Seconds > wall {
+		wall = run.Seconds
 	}
 	refresh := d.hwd.SensorRefresh.Seconds()
 	idle := d.truth.IdlePower(run.Effective)
-	p := run.TruePower
 
 	nWindows := int(wall / refresh)
 	if nWindows == 0 {

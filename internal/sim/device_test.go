@@ -7,6 +7,9 @@ import (
 
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
+	"gpupower/internal/microbench"
+	"gpupower/internal/silicon"
+	"gpupower/internal/suites"
 )
 
 func newSim(t *testing.T, name string) *Device {
@@ -112,6 +115,80 @@ func TestTDPGovernorCapsCoreClock(t *testing.T) {
 				t.Fatal("governor did not pick the closest feasible level")
 			}
 		}
+	}
+}
+
+// silicon.Truth.Launch is what the sampling loop runs instead of Simulate
+// and Power: its time and power must be theirs to the bit, for every
+// microbenchmark and validation kernel at every configuration of every
+// catalog device.
+func TestLaunchMatchesSimulate(t *testing.T) {
+	var ks []*kernels.KernelSpec
+	for _, b := range microbench.Suite() {
+		ks = append(ks, b.Kernel)
+	}
+	for _, app := range suites.ValidationSet() {
+		ks = append(ks, app.App.Kernels...)
+	}
+	for _, dev := range hw.AllDevices() {
+		tr := silicon.MustTruthFor(dev)
+		for _, cfg := range dev.AllConfigs() {
+			for _, k := range ks {
+				e, err := silicon.Simulate(dev, k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sec, w, err := tr.Launch(k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(sec) != math.Float64bits(e.Seconds()) || math.Float64bits(w) != math.Float64bits(tr.Power(e)) {
+					t.Fatalf("%s %v %s: Launch = (%v s, %v W), Simulate and Power give (%v s, %v W)",
+						dev.Name, cfg, k.Name, sec, w, e.Seconds(), tr.Power(e))
+				}
+			}
+		}
+	}
+}
+
+// The sampling loop skips Execute's ground-truth record; the launch it
+// reports must still be Execute's, throttled or not.
+func TestSampledAveragePowerRunMatchesExecute(t *testing.T) {
+	s := newSim(t, "GTX Titan X")
+	for _, k := range []*kernels.KernelSpec{lightKernel(), hotKernel()} {
+		for _, cfg := range []hw.Config{{CoreMHz: 975, MemMHz: 3505}, {CoreMHz: 1164, MemMHz: 4005}} {
+			if err := s.SetClocks(cfg.MemMHz, cfg.CoreMHz); err != nil {
+				t.Fatal(err)
+			}
+			run, err := s.Execute(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := s.SampledAveragePower(k, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Requested != run.Requested || got.Effective != run.Effective || got.Seconds != run.Exec.Seconds() {
+				t.Fatalf("%s at %v: sampled run %+v, Execute ran %v → %v for %v s",
+					k.Name, cfg, got, run.Requested, run.Effective, run.Exec.Seconds())
+			}
+		}
+	}
+}
+
+func TestSampledAveragePowerAllocFree(t *testing.T) {
+	s := newSim(t, "GTX Titan X")
+	k := hotKernel()
+	if err := s.SetClocks(4005, 1164); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if _, _, err := s.SampledAveragePower(k, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("SampledAveragePower allocates %v times per call, want 0", n)
 	}
 }
 
