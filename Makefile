@@ -20,11 +20,10 @@
 #                  facts), snapshot-coherence (atomicsnap), serving-boundary
 #                  (httpbound), wire-unit (dtounits) and live-suppression
 #                  (unusedignore) invariants; must stay green on every PR.
-#                  Incremental and serial: per-package results are cached
-#                  under $$(os.UserCacheDir())/gpowerlint (DESIGN.md §9.9),
-#                  directory groups run one after another in path order
-#                  (DESIGN.md §9.13), and the target prints its wall time so
-#                  cache regressions are visible in CI logs.
+#                  Serial: packages run one after another in path order,
+#                  over standard-library export data located by one
+#                  `go list` (DESIGN.md §9.13), and the target prints its
+#                  wall time so a loader slowdown is visible in CI logs.
 #   make alloccheck — zero-allocation gate: interprocedurally proves every
 #                  //gpower:noalloc-annotated hot-path root allocation-free
 #                  (internal/alloccheck; see DESIGN.md §13), failing on any
@@ -33,8 +32,6 @@
 #                  page cache), requires byte-identical reports, and prints
 #                  both wall times like `make lint`; must stay green on
 #                  every PR.
-#   make lint-bench — cold vs warm timing into a fresh facts dir; the
-#                  numbers recorded in EXPERIMENTS.md come from here.
 #   make bench   — regenerate the paper's tables/figures (EXPERIMENTS.md numbers)
 #   make bench-json — run the perf-relevant Go benchmarks of the root package
 #                  and internal/cluster and consolidate their rows (ns/op,
@@ -64,7 +61,7 @@ BENCHTIME ?= 1x
 BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate|FleetFit|ServePredict|ClusterEvents)$$'
 BENCH_JSON_PACKAGES = ./ ./internal/cluster/
 
-.PHONY: all build test verify vet race lint alloccheck lint-bench cover bench bench-json clean
+.PHONY: all build test verify vet race lint alloccheck cover bench bench-json clean
 
 all: verify
 
@@ -84,7 +81,7 @@ race: vet
 
 lint:
 	@start=$$(date +%s%N); \
-	$(GO) run ./cmd/gpowerlint -cache-stats ./...; status=$$?; \
+	$(GO) run ./cmd/gpowerlint ./...; status=$$?; \
 	end=$$(date +%s%N); \
 	echo "lint: $$(( (end - start) / 1000000 )) ms wall"; \
 	exit $$status
@@ -107,21 +104,6 @@ alloccheck:
 	[ $$status -eq 0 ] || exit $$status; \
 	cmp -s "$$tmp/cold.txt" "$$tmp/warm.txt" || { echo "alloccheck: cold and warm reports differ"; exit 1; }; \
 	echo "alloccheck: cold $$cold ms, warm $$warm ms"
-
-# lint-bench times a cold run (fresh facts dir: full parse + type check of
-# the module), then a warm run over the identical tree, using a prebuilt
-# binary so `go run` compilation noise stays out of the measurements.
-# Output is byte-identical across both; only the wall clock moves.
-lint-bench:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/gpowerlint" ./cmd/gpowerlint; \
-	start=$$(date +%s%N); \
-	"$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts" ./... || exit $$?; \
-	end=$$(date +%s%N); cold=$$(( (end - start) / 1000000 )); \
-	start=$$(date +%s%N); \
-	"$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts" ./... || exit $$?; \
-	end=$$(date +%s%N); warm=$$(( (end - start) / 1000000 )); \
-	echo "lint-bench: cold $$cold ms, warm $$warm ms"
 
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...

@@ -37,7 +37,7 @@ func main() {
 	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	flag.Parse()
 
-	root, modPath, err := alloccheck.FindModule(".")
+	root, modPath, err := lint.FindModule(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alloccheck: %v\n", err)
 		os.Exit(2)

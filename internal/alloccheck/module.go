@@ -1,46 +1,13 @@
 package alloccheck
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"regexp"
-
-	"gpupower/internal/lint"
-)
-
-var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
-
-// FindModule walks upward from dir to the enclosing go.mod and returns the
-// module root directory and module path.
-func FindModule(dir string) (string, string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
-		if err == nil {
-			m := moduleRe.FindSubmatch(data)
-			if m == nil {
-				return "", "", fmt.Errorf("no module directive in %s", filepath.Join(abs, "go.mod"))
-			}
-			return abs, string(m[1]), nil
-		}
-		parent := filepath.Dir(abs)
-		if parent == abs {
-			return "", "", fmt.Errorf("no go.mod found above %s (run from inside the module)", dir)
-		}
-		abs = parent
-	}
-}
+import "gpupower/internal/lint"
 
 // CheckModule proves every annotated root of the module enclosing dir over
 // its production sources (_test.go files excluded) — the embedded
 // equivalent of `alloccheck ./...`. It returns the result and the module
 // root, for rendering positions relative to it.
 func CheckModule(dir string) (*Result, string, error) {
-	root, modPath, err := FindModule(dir)
+	root, modPath, err := lint.FindModule(dir)
 	if err != nil {
 		return nil, "", err
 	}

@@ -63,8 +63,9 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("core: benchmark %s: %w", b.Name, err)
 		}
 	}
-	// Configuration uniqueness is what makes the parallel step-2 solves'
-	// voltage-table writes disjoint (each config owns one (mi, ci) slot).
+	// Each configuration owns one (mi, ci) slot of the voltage table, which
+	// step 2 fills from that configuration's column: a duplicate would
+	// overwrite the voltages solved from the other copy's measurements.
 	seen := make(map[hw.Config]struct{}, len(d.Configs))
 	for _, cfg := range d.Configs {
 		if _, dup := seen[cfg]; dup {

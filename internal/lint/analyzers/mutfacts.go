@@ -26,7 +26,7 @@ import (
 // (sound because each run's Loader type-checks each package exactly once,
 // and the store does not outlive that Loader's type graph). A summary
 // computed under an in-progress-cycle assumption is tainted and never
-// memoized, keeping store contents independent of which groups ran before.
+// memoized, keeping store contents independent of which packages ran before.
 type mutFactKey struct{ fn *types.Func }
 
 func cachedMutFact(pass *lint.Pass, fn *types.Func) (bool, bool) {

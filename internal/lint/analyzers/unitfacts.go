@@ -22,13 +22,12 @@ import (
 //
 // Facts are memoized in the run-scoped lint.FactStore carried by the Pass,
 // keyed by object identity — sound because each run's Loader type-checks
-// each package exactly once, so every directory group of that run sees the
-// same *types.Func for the same function (and the store dies with the run,
-// so it never pins a retired Loader's type graph). An inference that had to
+// each package exactly once, so every package of that run sees the same
+// *types.Func for the same function (and the store dies with the run, so it
+// never pins a retired Loader's type graph). An inference that had to
 // assume a unit for an in-progress (cyclic) callee is "tainted" and never
 // memoized: every cached fact is chain-independent, so the store's contents
-// cannot depend on which groups ran before — a warm cache run analyzes only
-// the groups that missed.
+// cannot depend on which packages ran before.
 type resultFactKey struct{ fn *types.Func }
 
 type varFactKey struct{ v *types.Var }

@@ -7,9 +7,10 @@
 //
 // The engine is built exclusively on the go standard library (go/parser,
 // go/ast, go/types, go/token): packages are parsed and type-checked in-module
-// by a small recursive importer (see Loader) that delegates standard-library
-// imports to importer.Default(). Analyzers implement the Analyzer interface
-// and report Diagnostics; findings can be suppressed at a specific site with
+// by a small recursive importer (see Loader) that reads standard-library
+// imports from the export data one batched `go list` locates. Analyzers
+// implement the Analyzer interface and report Diagnostics; findings can be
+// suppressed at a specific site with
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
@@ -34,11 +35,11 @@ import (
 // type graph produced the objects — which is why the store hangs off the
 // Runner (one per run) rather than off the analyzers package: a process that
 // runs the engine repeatedly (tests, a long-running embedding) must not pin
-// every run's type graph and ASTs for its lifetime. The engine runs groups
+// every run's type graph and ASTs for its lifetime. The engine runs packages
 // serially, but FactStore is exported, so its methods still lock.
 // Determinism is the analyzers' responsibility: chain-dependent "tainted"
-// verdicts are never stored, so no fact depends on which groups ran before
-// it — a warm cache run analyzes only the groups that missed.
+// verdicts are never stored, so no fact depends on which packages ran
+// before it — a fixture run over a few packages and a module run agree.
 type FactStore struct {
 	mu sync.Mutex
 	m  map[any]any

@@ -150,31 +150,16 @@ func collectWants(t *testing.T, pkg *lint.Package, f *ast.File) []*expectation {
 	return out
 }
 
-// ModuleRoot walks upward from the test's working directory to the enclosing
-// go.mod and returns the module root directory and module path. Integration
-// tests use it to run the engine over the real repository.
+// ModuleRoot returns the root directory and module path of the module
+// enclosing the test's working directory. Integration tests use it to run
+// the engine over the real repository.
 func ModuleRoot(t *testing.T) (root, modPath string) {
 	t.Helper()
-	dir, err := os.Getwd()
+	root, modPath, err := lint.FindModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := regexp.MustCompile(`(?m)^module\s+(\S+)`)
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			m := re.FindSubmatch(data)
-			if m == nil {
-				t.Fatalf("no module directive in %s/go.mod", dir)
-			}
-			return dir, string(m[1])
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above the test working directory")
-		}
-		dir = parent
-	}
+	return root, modPath
 }
 
 // CopyModuleGoFiles mirrors the module's buildable tree (every .go file

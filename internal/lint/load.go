@@ -3,12 +3,16 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -20,9 +24,7 @@ import (
 type Package struct {
 	// Path is the import path ("gpupower/internal/core"). External test
 	// packages get the conventional "_test" suffix appended.
-	Path string
-	// Dir is the directory the files were read from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -73,12 +75,12 @@ func (p *Package) Dep(path string) (*Package, bool) {
 // GOPATH-style fixture tree) without any toolchain dependency beyond the
 // standard library. Local imports are loaded recursively from source and
 // memoized, so each package is parsed and type-checked once per Loader;
-// everything else is delegated to importer.Default() with a source-importer
-// fallback.
+// everything else is read from the export data one batched `go list`
+// locates (see stdImporter), with a source-importer fallback.
 //
 // A Loader is single-goroutine state, like core.FitWorkspace: the lint
-// engine loads and analyzes directory groups one after another (DESIGN.md
-// §9.13 says why).
+// engine loads and analyzes packages one after another (DESIGN.md §9.13
+// says why).
 type Loader struct {
 	// RootDir is the directory tree containing the packages.
 	RootDir string
@@ -94,12 +96,8 @@ type Loader struct {
 	fset    *token.FileSet
 	loaded  map[string]loadResult // finished loads by import path, errors included
 	loading []string              // in-progress loads, outermost first: an import of one is a cycle
-	std     types.Importer
+	std     types.Importer        // export-data importer, built on the first non-local import
 	srcImp  types.Importer
-	// checked is every path handed to the type checker, in check order. The
-	// fact cache's warm-run integration test asserts this stays empty when
-	// nothing changed.
-	checked []string
 }
 
 // loadResult is the memoized outcome of one package load.
@@ -120,8 +118,32 @@ func NewLoader(rootDir, rootPath string) *Loader {
 	}
 }
 
-// Fset exposes the loader's position table.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
+var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
+
+// FindModule walks upward from dir to the enclosing go.mod and returns the
+// module root directory and module path — the arguments NewLoader takes for
+// the module a command runs in.
+func FindModule(dir string) (root, modPath string, err error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", "", err
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
+		if err == nil {
+			m := moduleRe.FindSubmatch(data)
+			if m == nil {
+				return "", "", fmt.Errorf("no module directive in %s", filepath.Join(abs, "go.mod"))
+			}
+			return abs, string(m[1]), nil
+		}
+		parent := filepath.Dir(abs)
+		if parent == abs {
+			return "", "", fmt.Errorf("no go.mod found above %s (run from inside the module)", dir)
+		}
+		abs = parent
+	}
+}
 
 // Discover walks RootDir and returns the sorted import paths of every
 // directory containing buildable .go files. testdata, vendor, hidden and
@@ -185,9 +207,8 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 }
 
 // LoadPackages loads the package at path plus, when the directory carries an
-// external test package, that package as a second entry — the directory
-// group the Runner and the fact cache operate on. The external-test sibling
-// is memoized, so repeated calls do not re-type-check it.
+// external test package, that package as a second entry. The external-test
+// sibling is memoized, so repeated calls do not re-type-check it.
 func (l *Loader) LoadPackages(path string) ([]*Package, error) {
 	pkg, err := l.Load(path)
 	if err != nil {
@@ -205,19 +226,6 @@ func (l *Loader) LoadPackages(path string) ([]*Package, error) {
 		out = append(out, pkg.xtestPkg)
 	}
 	return out, nil
-}
-
-// DirFor resolves an import path to its directory under RootDir, reporting
-// whether the path is local to the loaded tree. The fact cache uses it to
-// hash package sources without forcing a load.
-func (l *Loader) DirFor(path string) (string, bool) { return l.pathToDir(path) }
-
-// TypeCheckedPaths returns the package paths that have been handed to the
-// type checker so far, in check order (external-test packages appear under
-// their "<path>_test" name). A warm cache run over an unchanged tree keeps
-// this empty — the property the incremental engine exists to provide.
-func (l *Loader) TypeCheckedPaths() []string {
-	return append([]string(nil), l.checked...)
 }
 
 // completed returns the loaded package for path only if its load already
@@ -290,19 +298,12 @@ func (l *Loader) parseAndCheck(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("no package directory for %q under %s", path, l.RootDir)
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := l.goFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files, xtest []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !l.Tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -317,13 +318,34 @@ func (l *Loader) parseAndCheck(path string) (*Package, error) {
 		return nil, fmt.Errorf("no buildable go files in %s", dir)
 	}
 
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, loader: l, xtestFiles: xtest}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, loader: l, xtestFiles: xtest}
 	pkg.deps = l.localImports(path, files)
 	pkg.Types, pkg.Info, pkg.TypeErrors = l.check(path, files)
 	if len(pkg.TypeErrors) > 0 {
 		return pkg, pkg.TypeErrors[0]
 	}
 	return pkg, nil
+}
+
+// goFiles lists the names of the .go files in dir the loader reads: no
+// hidden or underscore-prefixed files, and no _test.go files unless Tests.
+func (l *Loader) goFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if !l.Tests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		names = append(names, name)
+	}
+	return names, nil
 }
 
 // localImports collects the in-module import paths of a file set, sorted and
@@ -348,7 +370,6 @@ func (l *Loader) localImports(path string, files []*ast.File) []string {
 
 // check type-checks one set of files as the package named by path.
 func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, []error) {
-	l.checked = append(l.checked, path)
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -371,7 +392,7 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 // in-package object (which includes export_test.go declarations, matching the
 // go toolchain's test-binary semantics).
 func (l *Loader) checkXTest(pkg *Package) (*Package, error) {
-	xp := &Package{Path: pkg.Path + "_test", Dir: pkg.Dir, Fset: l.fset, Files: pkg.xtestFiles, loader: l}
+	xp := &Package{Path: pkg.Path + "_test", Fset: l.fset, Files: pkg.xtestFiles, loader: l}
 	xp.deps = l.localImports(xp.Path, pkg.xtestFiles)
 	xp.Types, xp.Info, xp.TypeErrors = l.check(xp.Path, pkg.xtestFiles)
 	if len(xp.TypeErrors) > 0 {
@@ -382,8 +403,8 @@ func (l *Loader) checkXTest(pkg *Package) (*Package, error) {
 
 // importPkg is the recursive in-module importer: local packages are loaded
 // from source (memoized), "unsafe" maps to types.Unsafe, and everything
-// else — the standard library — is delegated to importer.Default(), falling
-// back to the slower source importer when no export data is available.
+// else — the standard library — is read from export data (stdImporter),
+// falling back to the slower source importer when none is available.
 func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -396,7 +417,7 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 		return pkg.Types, nil
 	}
 	if l.std == nil {
-		l.std = importer.Default()
+		l.std = l.stdImporter()
 	}
 	tp, err := l.std.Import(path)
 	if err == nil {
@@ -410,6 +431,79 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("import %q: %w (source fallback: %v)", path, err, err2)
 	}
 	return tp2, nil
+}
+
+// stdImporter builds the gc export-data importer for the tree's non-local
+// imports. importer.Default() runs one `go list -export` per package it
+// imports; this runs one for all of them: an imports-only parse of every
+// discovered package collects the non-local imports, and a single
+// `go list -e -export -deps` maps them and everything they import to their
+// export data. Like importer.Default, it runs GOROOT's go binary in GOROOT,
+// so the export data always matches the reader compiled into this binary.
+// A path go list gave no export data for (or a failed go list) makes Import
+// fail, and importPkg falls back to the source importer.
+func (l *Loader) stdImporter() types.Importer {
+	exports := make(map[string]string)
+	var listErr error
+	if imports := l.nonLocalImports(); len(imports) > 0 {
+		goroot := build.Default.GOROOT
+		args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}, imports...)
+		cmd := exec.Command(filepath.Join(goroot, "bin", "go"), args...)
+		cmd.Dir = goroot
+		cmd.Env = append(os.Environ(), "PWD="+goroot, "GOROOT="+goroot)
+		var out []byte
+		out, listErr = cmd.Output()
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+		if file, ok := exports[path]; ok {
+			return os.Open(file)
+		}
+		if listErr != nil {
+			return nil, fmt.Errorf("go list: %w", listErr)
+		}
+		return nil, fmt.Errorf("go list reported no export data for %q", path)
+	})
+}
+
+// nonLocalImports returns the sorted, deduplicated import paths, other than
+// "unsafe", that the tree's packages import from outside it. Files that do
+// not parse are skipped: loading them reports the error.
+func (l *Loader) nonLocalImports() []string {
+	paths, err := l.Discover()
+	if err != nil {
+		return nil
+	}
+	fset := token.NewFileSet()
+	set := make(map[string]bool)
+	for _, path := range paths {
+		dir, _ := l.pathToDir(path)
+		names, err := l.goFiles(dir)
+		if err != nil {
+			continue
+		}
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+			if err != nil {
+				continue
+			}
+			for _, spec := range f.Imports {
+				set[strings.Trim(spec.Path.Value, `"`)] = true
+			}
+		}
+	}
+	var out []string
+	for p := range set {
+		if p != "unsafe" && !l.local(p) {
+			out = append(out, p)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -29,8 +29,8 @@ type Runner struct {
 	// facts is the cross-package fact store shared by every pass this
 	// Runner creates, built on first use. Scoping the store to the Runner
 	// (rather than a process global) means its memory — which transitively
-	// pins the Loader's type graph and ASTs — is reclaimable once the run's
-	// results are merged.
+	// pins the Loader's type graph and ASTs — is reclaimable with the
+	// Runner.
 	facts *FactStore
 }
 
@@ -45,14 +45,6 @@ type Result struct {
 	DirectiveErrors []error
 	// Suppressed counts findings removed by valid directives.
 	Suppressed int
-}
-
-// Merge appends another result (group-local or cached) into r. Callers are
-// expected to sort once at the end via SortDiagnostics.
-func (r *Result) Merge(other *Result) {
-	r.Diagnostics = append(r.Diagnostics, other.Diagnostics...)
-	r.DirectiveErrors = append(r.DirectiveErrors, other.DirectiveErrors...)
-	r.Suppressed += other.Suppressed
 }
 
 // validate checks the analyzer set and returns the known-name map used for
@@ -75,54 +67,18 @@ func (r *Runner) validate() (map[string]bool, error) {
 	return known, nil
 }
 
-// Run analyzes every package. Analyzer errors (not diagnostics) abort the
-// run. Packages are processed in directory groups (a package and its
-// external-test sibling share a directory), each of which is self-contained:
-// //lint:ignore directives only ever suppress diagnostics in their own file,
-// so no suppression crosses a group boundary. This is the property the
-// fact cache (internal/lint/cache) relies on to replay groups independently.
-// Groups run one after another; their results are merged and sorted once.
+// Run analyzes every package, in the order given, and folds the findings
+// through the //lint:ignore directives. Analyzer errors (not diagnostics)
+// abort the run. A directive only ever suppresses diagnostics in its own
+// file, so one package's report does not depend on which others run with
+// it. Diagnostics are sorted once, into the total order of sortDiagnostics.
 func (r *Runner) Run(pkgs []*Package) (*Result, error) {
-	if _, err := r.validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for _, group := range GroupByDir(pkgs) {
-		gr, err := r.RunGroup(group)
-		if err != nil {
-			return nil, err
-		}
-		res.Merge(gr)
-	}
-	SortDiagnostics(res.Diagnostics)
-	return res, nil
-}
-
-// GroupByDir splits a package list into runs of consecutive packages that
-// share a directory (the base package followed by its hoisted external-test
-// package, in LoadAll order).
-func GroupByDir(pkgs []*Package) [][]*Package {
-	var groups [][]*Package
-	for i := 0; i < len(pkgs); {
-		j := i + 1
-		for j < len(pkgs) && pkgs[j].Dir == pkgs[i].Dir {
-			j++
-		}
-		groups = append(groups, pkgs[i:j])
-		i = j
-	}
-	return groups
-}
-
-// RunGroup analyzes one directory group (a package plus, possibly, its
-// external-test sibling) and returns a self-contained, sorted result.
-func (r *Runner) RunGroup(pkgs []*Package) (*Result, error) {
-	if r.facts == nil {
-		r.facts = NewFactStore()
-	}
 	known, err := r.validate()
 	if err != nil {
 		return nil, err
+	}
+	if r.facts == nil {
+		r.facts = NewFactStore()
 	}
 	runSet := make(map[string]bool, len(r.Analyzers))
 	reportUnused := false
@@ -190,7 +146,7 @@ func (r *Runner) RunGroup(pkgs []*Package) (*Result, error) {
 		}
 	}
 
-	SortDiagnostics(res.Diagnostics)
+	sortDiagnostics(res.Diagnostics)
 	return res, nil
 }
 
@@ -243,9 +199,9 @@ func joinNames(names []string) string {
 	return s
 }
 
-// SortDiagnostics orders diagnostics by (file, line, col, analyzer, message)
+// sortDiagnostics orders diagnostics by (file, line, col, analyzer, message)
 // — the engine's canonical deterministic report order.
-func SortDiagnostics(diags []Diagnostic) {
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

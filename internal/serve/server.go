@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -236,7 +235,10 @@ func equalFold(a, b string) bool {
 }
 
 // parseUtilization converts a wire utilization map into a core vector.
-// Missing components read as zero; values must be finite and non-negative.
+// Missing components read as zero; every rate must lie in [0, 1]
+// (core.Utilization.Validate). A larger one predicts power the device cannot
+// draw, and one near the float64 maximum overflows the prediction to +Inf,
+// which no JSON body can carry.
 func parseUtilization(wire map[string]float64) (core.Utilization, error) {
 	u := make(core.Utilization, len(wire))
 	for name, v := range wire {
@@ -244,10 +246,10 @@ func parseUtilization(wire map[string]float64) (core.Utilization, error) {
 		if err != nil {
 			return nil, err
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("utilization %s = %g must be finite and non-negative", name, v)
-		}
 		u[c] = v
+	}
+	if err := u.Validate(); err != nil {
+		return nil, err
 	}
 	return u, nil
 }

@@ -198,28 +198,43 @@ func TestPredictErrors(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
 	cases := []struct {
 		name string
+		path string // "" means /v1/predict
 		body string
 		code int
 	}{
-		{"unknown device", `{"device":"nope","items":[{"utilization":{"SP":1}}]}`, 404},
-		{"missing device", `{"items":[{"utilization":{"SP":1}}]}`, 400},
-		{"empty items", `{"device":"Tesla K40c","items":[]}`, 400},
-		{"bad component", `{"device":"Tesla K40c","items":[{"utilization":{"GPU":1}}]}`, 400},
-		{"negative utilization", `{"device":"Tesla K40c","items":[{"utilization":{"SP":-1}}]}`, 400},
-		{"unknown field", `{"device":"Tesla K40c","items":[],"wat":1}`, 400},
-		{"off-ladder config", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1,"mem_mhz":1}]}]}`, 400},
-		{"malformed json", `{`, 400},
+		{"unknown device", "", `{"device":"nope","items":[{"utilization":{"SP":1}}]}`, 404},
+		{"missing device", "", `{"items":[{"utilization":{"SP":1}}]}`, 400},
+		{"empty items", "", `{"device":"Tesla K40c","items":[]}`, 400},
+		{"bad component", "", `{"device":"Tesla K40c","items":[{"utilization":{"GPU":1}}]}`, 400},
+		{"negative utilization", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":-1}}]}`, 400},
+		{"utilization above 1", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":50}}]}`, 400},
+		{"utilization overflowing the prediction", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1e308}}]}`, 400},
+		{"unknown field", "", `{"device":"Tesla K40c","items":[],"wat":1}`, 400},
+		{"off-ladder config", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1,"mem_mhz":1}]}]}`, 400},
+		{"malformed json", "", `{`, 400},
+		{"govern: utilization above 1", "/v1/govern", `{"device":"Tesla K40c","utilization":{"SP":50},"policy":"min-EDP"}`, 400},
+		{"govern: overflowing utilization", "/v1/govern", `{"device":"Tesla K40c","utilization":{"SP":1e308},"policy":"min-EDP"}`, 400},
+		{"breakdown: utilization above 1", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":50}}`, 400},
+		{"breakdown: overflowing utilization", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":1e308,"DP":1e308}}`, 400},
 	}
 	for _, tc := range cases {
-		resp, data := postJSON(t, ts.URL+"/v1/predict", tc.body)
+		path := tc.path
+		if path == "" {
+			path = "/v1/predict"
+		}
+		resp, data := postJSON(t, ts.URL+path, tc.body)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: HTTP %d (want %d): %s", tc.name, resp.StatusCode, tc.code, data)
+		}
+		if !json.Valid(data) {
+			t.Errorf("%s: body is not valid JSON: %q", tc.name, data)
+			continue
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
-			t.Errorf("%s: error body not JSON: %s", tc.name, data)
+			t.Errorf("%s: no error message in body: %s", tc.name, data)
 		}
 	}
 

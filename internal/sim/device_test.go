@@ -83,6 +83,22 @@ func TestExecuteAtRequestedClocks(t *testing.T) {
 	}
 }
 
+// shortHotKernel is hotKernel with a tenth of the work: the same power, so
+// the same throttling, in about 21 ms on the GTX Titan X — less than one
+// 100 ms sensor window.
+func shortHotKernel() *kernels.KernelSpec {
+	return &kernels.KernelSpec{
+		Name: "short-hot",
+		WarpInstrs: map[hw.Component]float64{
+			hw.SP: 2e9, hw.Int: 1.6e9, hw.SF: 4e8,
+		},
+		SharedLoadBytes: 5e8, SharedStoreBytes: 5e8,
+		L2ReadBytes: 8e8, L2WriteBytes: 4e8,
+		DRAMReadBytes: 8e8, DRAMWriteBytes: 4e8,
+		IssueEfficiency: 0.95,
+	}
+}
+
 func TestTDPGovernorCapsCoreClock(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
 	if err := s.SetClocks(4005, 1164); err != nil {
@@ -235,6 +251,38 @@ func TestShortRunMixesIdlePower(t *testing.T) {
 	}
 	if p <= idle*0.8 {
 		t.Fatalf("short-run reading %g below idle %g", p, idle)
+	}
+}
+
+// A throttled run shorter than one sensor window mixes in the idle power
+// of the clocks the governor fell back to: those are the clocks in force
+// around the launch, not the requested ones.
+func TestShortThrottledRunMixesEffectiveIdle(t *testing.T) {
+	s := newSim(t, "GTX Titan X")
+	if err := s.SetClocks(4005, 1164); err != nil {
+		t.Fatal(err)
+	}
+	k := shortHotKernel()
+	run, err := s.Execute(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refresh := s.HW().SensorRefresh.Seconds()
+	if run.Effective == run.Requested || run.Exec.Seconds() >= refresh {
+		t.Fatalf("not a short throttled run: %v → %v for %v s", run.Requested, run.Effective, run.Exec.Seconds())
+	}
+	got, _, err := s.SampledAveragePower(k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Execute draws no sensor noise, so the first reading of a twin device
+	// is the draw SampledAveragePower took. The two idle powers are 7.7 W
+	// apart; the 2 mW tolerance only absorbs the 1 mW quantization.
+	frac := run.Exec.Seconds() / refresh
+	want := newSim(t, "GTX Titan X").noisyReading(frac*run.TruePower + (1-frac)*s.truth.IdlePower(run.Effective))
+	if math.Abs(got-want) > 0.002 {
+		t.Fatalf("short throttled reading %g W, want %g W (idle power at the effective %v; requested %v idles at %g W, effective at %g W)",
+			got, want, run.Effective, run.Requested, s.truth.IdlePower(run.Requested), s.truth.IdlePower(run.Effective))
 	}
 }
 

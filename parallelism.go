@@ -2,10 +2,10 @@ package gpupower
 
 import "gpupower/internal/parallel"
 
-// Parallelism controls for the estimation engine. Model fitting (per
-// V-F configuration), fleet fitting, sharded cluster simulation and the
-// experiment drivers fan their independent sub-problems out across a
-// bounded worker pool sized from GOMAXPROCS.
+// Parallelism controls for the estimation engine. Fleet fitting (one model
+// per member), sharded cluster simulation and the experiment drivers fan
+// their independent sub-problems out across a bounded worker pool sized
+// from GOMAXPROCS; a single model fit is serial.
 // Every parallel loop writes disjoint result slots and folds reductions in
 // index order, so results are bitwise-identical to sequential execution —
 // SetSequential trades latency, never accuracy.
