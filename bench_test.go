@@ -308,9 +308,10 @@ func BenchmarkMeasureAppPower(b *testing.B) {
 }
 
 // BenchmarkDVFSSearch measures the use-case-3 operating-point search across
-// the whole configuration space, cold: every iteration invalidates the
-// model's prediction surfaces, so each search evaluates the full ladder.
-// BenchmarkFindBestConfigWarm is the same search on a warm surface.
+// the whole configuration space, cold: every iteration searches with a
+// fresh copy of the model, which the surface cache has never seen, so each
+// search evaluates the full ladder. BenchmarkFindBestConfigWarm is the
+// same search on a warm surface.
 func BenchmarkDVFSSearch(b *testing.B) {
 	gpu, err := gpupower.Open(gpupower.GTXTitanX, benchSeed)
 	if err != nil {
@@ -334,8 +335,8 @@ func BenchmarkDVFSSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InvalidateSurfaces()
-		if _, err := gpupower.FindBestConfig(m, gpu.Device(), prof, gpupower.MinEnergy); err != nil {
+		fresh := *m
+		if _, err := gpupower.FindBestConfig(&fresh, gpu.Device(), prof, gpupower.MinEnergy); err != nil {
 			b.Fatal(err)
 		}
 	}

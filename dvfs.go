@@ -2,7 +2,6 @@ package gpupower
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"gpupower/internal/core"
@@ -66,17 +65,16 @@ func (o Objective) String() string {
 	}
 }
 
-// operatingSurface resolves the memoized prediction surface for a profile,
-// translating the surface layer's typed reference-power error into this
-// package's historical message.
+// operatingSurface resolves the memoized prediction surface for a profile.
+// The relative-energy columns divide by the reference power, so a profile
+// whose reference power prediction is not positive has no operating points.
 func operatingSurface(ctx context.Context, m *Model, dev *Device, p *Profile) (*core.Surface, error) {
 	s, err := core.Surfaces.Get(ctx, m, dev, p.Ref, p.Utilization)
 	if err != nil {
-		var npe *core.NonPositiveRefPowerError
-		if errors.As(err, &npe) {
-			return nil, fmt.Errorf("gpupower: non-positive reference power prediction %g", npe.Power)
-		}
 		return nil, err
+	}
+	if s.RefPower <= 0 {
+		return nil, fmt.Errorf("gpupower: non-positive reference power prediction %g", s.RefPower)
 	}
 	return s, nil
 }
@@ -180,21 +178,4 @@ func FindBestConfigContext(ctx context.Context, m *Model, dev *Device, p *Profil
 		return OperatingPoint{}, fmt.Errorf("gpupower: no TDP-feasible configuration for %s", p.App.Name)
 	}
 	return best, nil
-}
-
-// bestFeasible selects the minimum of the betterPoint total order among
-// TDP-feasible points. A single ordered scan (no sort) keeps the selection
-// O(n) and — because betterPoint is a strict total order on distinct
-// configurations — independent of the input order.
-func bestFeasible(pts []OperatingPoint, tdp float64, obj Objective) (OperatingPoint, bool) {
-	best, found := OperatingPoint{}, false
-	for _, pt := range pts {
-		if pt.PowerW > tdp {
-			continue
-		}
-		if !found || betterPoint(pt, best, obj) {
-			best, found = pt, true
-		}
-	}
-	return best, found
 }

@@ -2,12 +2,68 @@ package gpupower
 
 // In-package regression tests for the deterministic DVFS selection order
 // (the exported behaviour is covered by dvfs_test.go; these exercise the
-// tie-breaking total order directly with crafted operating points).
+// tie-breaking total order directly with crafted operating points, through
+// the bestFeasible oracle FindBestConfig is pinned to).
 
 import (
 	"math/rand"
 	"testing"
 )
+
+// bestFeasible is the selection oracle: the minimum of the betterPoint
+// total order among TDP-feasible points, by a single ordered scan over
+// materialized operating points. Because betterPoint is a strict total
+// order on distinct configurations, the result does not depend on the
+// input order.
+func bestFeasible(pts []OperatingPoint, tdp float64, obj Objective) (OperatingPoint, bool) {
+	best, found := OperatingPoint{}, false
+	for _, pt := range pts {
+		if pt.PowerW > tdp {
+			continue
+		}
+		if !found || betterPoint(pt, best, obj) {
+			best, found = pt, true
+		}
+	}
+	return best, found
+}
+
+// TestFindBestConfigMatchesBestFeasible pins FindBestConfig's scan of the
+// memoized surface to the oracle over EvaluateOperatingPoints, for every
+// objective and every validation workload on the golden GTX Titan X fit.
+func TestFindBestConfigMatchesBestFeasible(t *testing.T) {
+	m, err := LoadModel("testdata/gtx-titan-x-fit-model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu, err := Open(GTXTitanX, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range Workloads() {
+		prof, err := gpu.ProfileForModel(wl.App, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := EvaluateOperatingPoints(m, gpu.Device(), prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []Objective{MinEnergy, MinEDP, MinPowerUnderTDP} {
+			want, ok := bestFeasible(pts, gpu.TDP(), obj)
+			if !ok {
+				t.Fatalf("%s %v: no TDP-feasible point", wl.Short, obj)
+			}
+			got, err := FindBestConfig(m, gpu.Device(), prof, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s %v: FindBestConfig %+v, oracle %+v", wl.Short, obj, got, want)
+			}
+		}
+	}
+}
 
 // tiedPoints returns two operating points with identical objective values
 // on every objective but different configurations.

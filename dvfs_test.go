@@ -126,3 +126,32 @@ func TestFindBestConfig(t *testing.T) {
 
 // TestObjectiveString moved to string_test.go (exhaustive, including the
 // unknown(N) default).
+
+// TestZeroReferencePowerError: relative energy divides by the reference
+// power, so a model that predicts 0 W there (all β and ω zero) has no
+// operating points, and both DVFS entry points say so.
+func TestZeroReferencePowerError(t *testing.T) {
+	gpu, model := fitted(t)
+	wl, err := gpupower.WorkloadByName("LBM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := gpu.ProfileForModel(wl.App, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := *model
+	zero.Beta = [4]float64{}
+	zero.OmegaCore = map[gpupower.Component]float64{
+		gpupower.Int: 0, gpupower.SP: 0, gpupower.DP: 0,
+		gpupower.SF: 0, gpupower.Shared: 0, gpupower.L2: 0,
+	}
+	zero.OmegaMem = 0
+	const want = "gpupower: non-positive reference power prediction 0"
+	if _, err := gpupower.EvaluateOperatingPoints(&zero, gpu.Device(), prof); err == nil || err.Error() != want {
+		t.Fatalf("EvaluateOperatingPoints error %v, want %q", err, want)
+	}
+	if _, err := gpupower.FindBestConfig(&zero, gpu.Device(), prof, gpupower.MinEnergy); err == nil || err.Error() != want {
+		t.Fatalf("FindBestConfig error %v, want %q", err, want)
+	}
+}

@@ -16,7 +16,6 @@ package autotune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -87,11 +86,10 @@ func (t *Tuner) kernelFrontier(ctx context.Context, k *kernels.KernelSpec) (fron
 	// across plans) evaluates the model ladder once per utilization.
 	s, err := core.Surfaces.Get(ctx, t.model, dev, ref, u)
 	if err != nil {
-		var npe *core.NonPositiveRefPowerError
-		if errors.As(err, &npe) {
-			return nil, 0, 0, fmt.Errorf("autotune: non-positive reference power for kernel %s", k.Name)
-		}
 		return nil, 0, 0, err
+	}
+	if s.RefPower <= 0 {
+		return nil, 0, 0, fmt.Errorf("autotune: non-positive reference power for kernel %s", k.Name)
 	}
 	refPower = s.RefPower
 

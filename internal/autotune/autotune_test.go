@@ -8,6 +8,7 @@ import (
 
 	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
+	"gpupower/internal/hw"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
 	"gpupower/internal/suites"
@@ -190,5 +191,29 @@ func TestExactSearchInfeasible(t *testing.T) {
 	}
 	if _, err := greedySearch(frontiers, []float64{1}, []float64{100}, 1.0); err == nil {
 		t.Fatal("greedy accepted infeasible budget")
+	}
+}
+
+// TestTuneZeroReferencePower: relative energy divides by the reference
+// power, so a model that predicts 0 W there (all β and ω zero) cannot be
+// tuned, and Tune names the kernel.
+func TestTuneZeroReferencePower(t *testing.T) {
+	tuner(t)
+	zero := *rigMod
+	zero.Beta = [4]float64{}
+	zero.OmegaCore = map[hw.Component]float64{}
+	for _, c := range core.CoreOmegaOrder {
+		zero.OmegaCore[c] = 0
+	}
+	zero.OmegaMem = 0
+	tn, err := New(rigProf, &zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := app(t, "LBM")
+	_, err = tn.Tune(context.Background(), a.App, 0.1)
+	want := "autotune: non-positive reference power for kernel " + a.App.Kernels[0].Name
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
 	}
 }

@@ -316,8 +316,8 @@ func TestLatHistQuantile(t *testing.T) {
 	}
 }
 
-// TestDecisionCache pins the decision cache's memoization and its
-// generation-keyed eviction.
+// TestDecisionCache pins the decision cache's memoization, its miss on a
+// refit model's surface, and its reset when full.
 func TestDecisionCache(t *testing.T) {
 	ctx := context.Background()
 	dev := hw.GTXTitanX()
@@ -351,15 +351,21 @@ func TestDecisionCache(t *testing.T) {
 		t.Errorf("cached index %d, governor scan %d", d1.Index, i)
 	}
 
-	// A refit (new generation → new surface) must not hit stale entries,
-	// and stale-generation entries are evicted first on overflow.
-	m.InvalidateSurfaces()
-	s2, err := core.Surfaces.Get(ctx, m, dev, m.Ref, u)
+	// A refit model (here an equal-valued copy) has its own surface, so
+	// its first question misses; a full cache resets rather than grows.
+	refit := *m
+	s2, err := core.Surfaces.Get(ctx, &refit, dev, refit.Ref, u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2 == s {
-		t.Fatal("invalidation did not produce a new surface")
+		t.Fatal("a refit model was served its predecessor's surface")
+	}
+	if _, err := c.Get(s2, governor.MinEnergy, dev.TDP, 0); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("after the refit's question: hits=%d misses=%d, want 1/2", hits, misses)
 	}
 	for cap := 200.0; cap < 208; cap++ { // overflow the 8-entry cache
 		if _, err := c.Get(s2, governor.MinEnergy, cap, 0); err != nil {

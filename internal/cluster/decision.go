@@ -23,7 +23,7 @@ type Decision struct {
 
 // decisionKey identifies one memoized decision. Surfaces are immutable and
 // shared (one instance per cache entry), so the surface pointer is the
-// identity of (model generation, device, reference, utilization); the rest
+// identity of (model, device, reference, utilization); the rest
 // of the key is the governor question asked of it. Float knobs are keyed by
 // their bit patterns so the key stays comparable without tolerance games.
 type decisionKey struct {
@@ -34,14 +34,11 @@ type decisionKey struct {
 }
 
 // DecisionCache memoizes governor decisions per prediction surface — the
-// generation-keyed layer above the SurfaceCache. A fleet run asks the same
-// question (device-model × kernel class × policy × cap × stretch) for every
-// one of thousands of GPUs; the first ask pays the ladder scan, the rest are
-// a read-locked map hit. Entries are keyed by surface identity, and every
-// surface records the model generation it was computed from (Surface.Gen),
-// so a refit or InvalidateSurfaces orphans cached decisions exactly when it
-// orphans their surfaces: the new generation's surfaces are new pointers and
-// miss, and the stale entries are evicted first on overflow.
+// layer above the SurfaceCache. A fleet run asks the same question
+// (device-model × kernel class × policy × cap × stretch) for every one of
+// thousands of GPUs; the first ask pays the ladder scan, the rest are a
+// read-locked map hit. Entries are keyed by surface identity, so a refit's
+// surfaces are new pointers and miss. The cache resets when full.
 type DecisionCache struct {
 	mu       sync.RWMutex
 	entries  map[decisionKey]Decision
@@ -60,8 +57,8 @@ func NewDecisionCache(capacity int) *DecisionCache {
 }
 
 // Decisions is the process-wide default cache. A fleet's working set is
-// |fleet device models| × |kernel classes| × |policy variants| — hundreds at
-// the outside — so 1024 entries never evict live generations in practice.
+// |fleet device models| × |kernel classes| × |policy variants| — a few
+// dozen, hundreds at the outside — so 1024 entries rarely fill.
 var Decisions = NewDecisionCache(1024)
 
 // Get returns the memoized decision for (s, policy, powerCap, maxRelTime),
@@ -91,28 +88,13 @@ func (c *DecisionCache) Get(s *core.Surface, policy governor.Policy, powerCap, m
 	d = Decision{Index: i, PowerW: s.PowerW[i], RelTime: s.RelTime[i]}
 	c.mu.Lock()
 	if len(c.entries) >= c.capacity {
-		//gpower:allocs cold overflow: stale-generation eviction may reset the entry map
-		c.evictLocked(s.Gen)
+		//gpower:allocs cold overflow: a full cache resets its entry map
+		c.entries = make(map[decisionKey]Decision, c.capacity)
 	}
 	//gpower:allocs cold miss: inserting the freshly scanned decision may grow the entry map
 	c.entries[key] = d
 	c.mu.Unlock()
 	return d, nil
-}
-
-// evictLocked reclaims space: decisions for surfaces of generations other
-// than liveGen go first (their models were refit or invalidated); if the
-// cache is still full, it resets. Dropping entries is always correct — the
-// cache is a performance device.
-func (c *DecisionCache) evictLocked(liveGen uint64) {
-	for k := range c.entries {
-		if k.surf.Gen != liveGen {
-			delete(c.entries, k)
-		}
-	}
-	if len(c.entries) >= c.capacity {
-		c.entries = make(map[decisionKey]Decision, c.capacity)
-	}
 }
 
 // Stats reports cumulative warm (hit) and cold (miss) Get counts.

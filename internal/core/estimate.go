@@ -491,7 +491,8 @@ func applyFixedVoltages(d *Dataset, volt *VoltageTable, opts *EstimatorOptions) 
 // calls. Buffers grow to the largest dataset seen and are re-derived per
 // fit, so reuse never changes a fitted bit (the fleet equivalence tests pin
 // this). A workspace is single-goroutine state: confine each instance to
-// one worker (see parallel.PerWorker) or guard it externally.
+// one worker (fleet.FitDatasets keeps one per pool worker) or guard it
+// externally.
 type FitWorkspace struct {
 	ws *estimatorWorkspace
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"gpupower/internal/hw"
 )
@@ -107,6 +106,11 @@ func (t *VoltageTable) CopyFrom(src *VoltageTable) {
 
 // Model is the fitted DVFS-aware power model of one device (Eqs. 6–7 with
 // the voltage tables estimated by the Section III-D algorithm).
+//
+// A fitted model is immutable: prediction surfaces are memoized by its
+// identity (surface.go), so an edit goes into a copy. A struct copy shares
+// OmegaCore and Voltages with the original; replace them in the copy
+// rather than writing through them.
 type Model struct {
 	DeviceName string
 	Ref        hw.Config
@@ -130,41 +134,6 @@ type Model struct {
 	// Iterations and Converged report how the Section III-D loop ended.
 	Iterations int
 	Converged  bool
-
-	// gen is the surface-cache generation (surface.go): 0 means "not yet
-	// assigned"; Generation() lazily draws a process-unique value. It is
-	// accessed atomically, deliberately excluded from serialization (a
-	// deserialized model is a distinct instance and draws a fresh
-	// generation), and bumped by InvalidateSurfaces after in-place edits.
-	gen uint64
-}
-
-// modelGenCounter is the process-wide generation source. Generation 0 is
-// reserved as the "unassigned" sentinel.
-var modelGenCounter uint64
-
-// Generation returns the model's surface-cache generation, assigning a
-// fresh process-unique value on first use. Two models never share a
-// generation, so memoized prediction surfaces keyed by generation can never
-// serve one model's surfaces to another — and a refit (which builds a new
-// *Model) implicitly invalidates every cached surface of the old fit.
-func (m *Model) Generation() uint64 {
-	if g := atomic.LoadUint64(&m.gen); g != 0 {
-		return g
-	}
-	g := atomic.AddUint64(&modelGenCounter, 1)
-	if atomic.CompareAndSwapUint64(&m.gen, 0, g) {
-		return g
-	}
-	return atomic.LoadUint64(&m.gen)
-}
-
-// InvalidateSurfaces assigns the model a fresh generation, orphaning every
-// prediction surface memoized against the old one. Call it after mutating a
-// fitted model in place (coefficient edits, voltage-table adjustments);
-// Estimate never needs it because each fit returns a new instance.
-func (m *Model) InvalidateSurfaces() {
-	atomic.StoreUint64(&m.gen, atomic.AddUint64(&modelGenCounter, 1))
 }
 
 // Validate checks the model for physical consistency: finite non-negative

@@ -7,14 +7,13 @@
 // ask it repeatedly for the same (model, device, reference, utilization)
 // tuple: every governor decision for an already-profiled kernel, every
 // repeated FindBestConfig in a sweep. A Surface answers it once; the
-// sharded SurfaceCache makes the answer safe to share across goroutines.
+// SurfaceCache makes the answer safe to share across goroutines.
 //
-// Invalidation is generational: the cache key includes Model.Generation(),
-// a process-unique value drawn lazily per model instance. A refit returns a
-// new *Model and therefore a new generation; in-place mutation requires an
-// explicit InvalidateSurfaces call. Stale generations are evicted when a
-// shard reaches capacity. Errors (voltage-table misses, non-positive
-// reference power, cancellation) are never cached.
+// The cache keys a model by identity (its *Model). A fitted model is
+// immutable: a refit, a deserialization or an edited copy is a different
+// *Model, so a surface can only ever answer for the model it was computed
+// from. Edit a copy, never a model that has been served. Errors
+// (voltage-table misses, cancellation) are never cached.
 package core
 
 import (
@@ -119,34 +118,16 @@ func (m *Model) PredictAll(u Utilization, configs []hw.Config, dst []float64) er
 	return nil
 }
 
-// NonPositiveRefPowerError reports a reference-configuration power
-// prediction that is zero or negative, which makes every relative-energy
-// quantity undefined. Callers that need a domain-specific message unwrap it
-// with errors.As.
-type NonPositiveRefPowerError struct {
-	Power float64
-}
-
-func (e *NonPositiveRefPowerError) Error() string {
-	return fmt.Sprintf("core: non-positive reference power prediction %g", e.Power)
-}
-
 // Surface is one memoized prediction surface: the model evaluated for one
 // utilization vector at every configuration of a device ladder, with the
 // derived relative-time/energy/EDP columns the DVFS consumers need. All
 // slices share ladder order (index i ↔ Configs[i]) and are read-only after
 // construction — a Surface is shared across goroutines by the cache.
-//
-// Gen is the generation of the model the surface was computed from
-// (Model.Generation() at computation time). Derived per-surface caches —
-// the cluster simulator's governor-decision cache is the canonical one —
-// key their entries by it, so a refit or an InvalidateSurfaces call
-// orphans the derived results exactly when it orphans the surface.
+// RefPower may be zero or negative; callers that normalize by it check it.
 type Surface struct {
 	Device   string
 	Ref      hw.Config
 	RefPower float64
-	Gen      uint64
 
 	Configs   []hw.Config
 	PowerW    []float64
@@ -182,9 +163,6 @@ func computeSurface(ctx context.Context, m *Model, dev *hw.Device, ref hw.Config
 	if err != nil {
 		return nil, err
 	}
-	if refPower <= 0 {
-		return nil, &NonPositiveRefPowerError{Power: refPower}
-	}
 	configs := dev.Ladder()
 	n := len(configs)
 	back := make([]float64, 4*n)
@@ -218,111 +196,62 @@ func computeSurface(ctx context.Context, m *Model, dev *hw.Device, ref hw.Config
 }
 
 // surfaceKey identifies one memoized surface. Every field is comparable,
-// so the key hashes through the built-in map; utilization is flattened to
-// a fixed array in canonical order, making two maps with equal entries
-// equal keys.
+// so the key hashes through the built-in map; the model is keyed by
+// identity, and utilization is flattened to a fixed array in canonical
+// order, making two maps with equal entries equal keys.
 type surfaceKey struct {
-	gen    uint64
+	model  *Model
 	device string
 	ref    hw.Config
 	util   flatUtil
 }
 
-// FNV-1a parameters for surfaceKey sharding.
-const (
-	surfaceFNVOffset uint64 = 14695981039346656037
-	surfaceFNVPrime  uint64 = 1099511628211
-)
-
-// surfaceFNVMix folds one 64-bit word into an FNV-1a hash byte by byte. A
-// package function rather than a closure keeps the sharding path free of
-// closure allocation (alloccheck proves the warm Get path).
-func surfaceFNVMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= surfaceFNVPrime
-	}
-	return h
-}
-
-// shard maps the key to a cache shard with FNV-1a over the key's bytes.
-func (k *surfaceKey) shard() int {
-	h := surfaceFNVOffset
-	h = surfaceFNVMix(h, k.gen)
-	for i := 0; i < len(k.device); i++ {
-		h ^= uint64(k.device[i])
-		h *= surfaceFNVPrime
-	}
-	h = surfaceFNVMix(h, math.Float64bits(k.ref.CoreMHz))
-	h = surfaceFNVMix(h, math.Float64bits(k.ref.MemMHz))
-	for _, v := range k.util {
-		h = surfaceFNVMix(h, math.Float64bits(v))
-	}
-	return int(h % surfaceShards)
-}
-
-// surfaceShards is the lock-striping factor. 16 keeps contention negligible
-// for the governor's worst case (one decision stream per kernel across a
-// pool of workers) without bloating the zero-entry footprint.
-const surfaceShards = 16
-
-// surfaceShard is one stripe: an RWMutex-guarded map slice of the cache.
-type surfaceShard struct {
-	mu      sync.RWMutex
-	entries map[surfaceKey]*Surface
-}
-
-// SurfaceCache memoizes prediction surfaces per (model generation, device,
-// reference, utilization). It is safe for concurrent use: reads take a
-// shard read-lock, and the surfaces themselves are immutable after
-// construction. Capacity is bounded per shard; on overflow, entries from
-// stale generations are evicted first, then the shard resets (the cache is
-// a performance device — dropping entries is always correct).
+// SurfaceCache memoizes prediction surfaces per (model, device, reference,
+// utilization). It is safe for concurrent use: reads take the read-lock,
+// and the surfaces themselves are immutable after construction. Capacity
+// is bounded; on overflow, other models' entries are evicted first, then
+// the map resets (the cache is a performance device — dropping entries is
+// always correct).
 type SurfaceCache struct {
-	shards   [surfaceShards]surfaceShard
+	mu       sync.RWMutex
+	entries  map[surfaceKey]*Surface
 	capacity int
 
-	// hits and misses count warm and cold Get calls across all shards; the
-	// serving layer's /metrics endpoint exports them. A concurrent
-	// double-compute counts as one miss per computing caller.
+	// hits and misses count warm and cold Get calls; the serving layer's
+	// /metrics endpoint exports them. A concurrent double-compute counts
+	// as one miss per computing caller.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// NewSurfaceCache returns a cache bounded to perShardCapacity entries per
-// shard (minimum 1).
-func NewSurfaceCache(perShardCapacity int) *SurfaceCache {
-	if perShardCapacity < 1 {
-		perShardCapacity = 1
+// NewSurfaceCache returns a cache bounded to capacity entries (minimum 1).
+func NewSurfaceCache(capacity int) *SurfaceCache {
+	if capacity < 1 {
+		capacity = 1
 	}
-	c := &SurfaceCache{capacity: perShardCapacity}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[surfaceKey]*Surface)
-	}
-	return c
+	return &SurfaceCache{entries: make(map[surfaceKey]*Surface), capacity: capacity}
 }
 
 // Surfaces is the process-wide default cache used by the DVFS search, the
-// governor and the auto-tuner. 64 entries × 16 shards comfortably covers a
+// governor and the auto-tuner. 1024 entries comfortably cover a
 // multi-kernel application sweep per fitted model.
-var Surfaces = NewSurfaceCache(64)
+var Surfaces = NewSurfaceCache(1024)
 
 // Get returns the memoized surface for (m, dev, ref, u), computing and
-// caching it on miss. The warm path costs one atomic load, one map lookup
-// under a read-lock and no allocation. Cancellation: the warm path checks
-// ctx once on entry; a cold computation additionally checks per ladder
+// caching it on miss. The warm path costs one map lookup under the
+// read-lock and no allocation. Cancellation: the warm path checks ctx once
+// on entry; a cold computation additionally checks per ladder
 // configuration. Errors are returned, never cached.
 //
-//gpower:noalloc the warm path is one atomic load and a read-locked map hit
+//gpower:noalloc the warm path is a read-locked map hit
 func (c *SurfaceCache) Get(ctx context.Context, m *Model, dev *hw.Device, ref hw.Config, u Utilization) (*Surface, error) {
 	if err := backend.CheckContext(ctx, "core: prediction surface"); err != nil {
 		return nil, err
 	}
-	key := surfaceKey{gen: m.Generation(), device: dev.Name, ref: ref, util: flattenUtil(u)}
-	sh := &c.shards[key.shard()]
-	sh.mu.RLock()
-	s := sh.entries[key]
-	sh.mu.RUnlock()
+	key := surfaceKey{model: m, device: dev.Name, ref: ref, util: flattenUtil(u)}
+	c.mu.RLock()
+	s := c.entries[key]
+	c.mu.RUnlock()
 	if s != nil {
 		c.hits.Add(1)
 		return s, nil
@@ -333,37 +262,35 @@ func (c *SurfaceCache) Get(ctx context.Context, m *Model, dev *hw.Device, ref hw
 	if err != nil {
 		return nil, err
 	}
-	s.Gen = key.gen
-	sh.mu.Lock()
-	if cur, ok := sh.entries[key]; ok {
+	c.mu.Lock()
+	if cur, ok := c.entries[key]; ok {
 		// A concurrent caller computed the same surface first; adopt theirs
 		// so every holder shares one immutable instance.
 		s = cur
 	} else {
-		if len(sh.entries) >= c.capacity {
-			//gpower:allocs cold overflow: stale-generation eviction may reset the shard map
-			c.evictLocked(sh, key.gen)
+		if len(c.entries) >= c.capacity {
+			//gpower:allocs cold overflow: eviction may reset the entry map
+			c.evictLocked(m)
 		}
-		//gpower:allocs cold miss: inserting the freshly computed surface may grow the shard map
-		sh.entries[key] = s
+		//gpower:allocs cold miss: inserting the freshly computed surface may grow the entry map
+		c.entries[key] = s
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return s, nil
 }
 
-// evictLocked reclaims space in a full shard: entries from generations
-// other than liveGen go first (they belong to replaced or invalidated
-// models); if the shard is still full, it resets. Iteration order is
-// irrelevant — eviction only ever deletes, so the surviving set does not
-// depend on it.
-func (c *SurfaceCache) evictLocked(sh *surfaceShard, liveGen uint64) {
-	for k := range sh.entries {
-		if k.gen != liveGen {
-			delete(sh.entries, k)
+// evictLocked reclaims space in a full cache: entries of models other than
+// live go first (they belong to replaced models); if the cache is still
+// full, it resets. Iteration order is irrelevant — eviction only ever
+// deletes, so the surviving set does not depend on it.
+func (c *SurfaceCache) evictLocked(live *Model) {
+	for k := range c.entries {
+		if k.model != live {
+			delete(c.entries, k)
 		}
 	}
-	if len(sh.entries) >= c.capacity {
-		sh.entries = make(map[surfaceKey]*Surface, c.capacity)
+	if len(c.entries) >= c.capacity {
+		c.entries = make(map[surfaceKey]*Surface, c.capacity)
 	}
 }
 
@@ -373,13 +300,9 @@ func (c *SurfaceCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len reports the total number of cached surfaces (diagnostics).
+// Len reports the number of cached surfaces (diagnostics).
 func (c *SurfaceCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
 }

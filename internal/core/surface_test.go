@@ -145,7 +145,8 @@ func TestSurfaceMatchesPointwise(t *testing.T) {
 }
 
 // TestSurfaceCacheMemoization checks the hit path returns the same
-// immutable instance, and that generation bumps invalidate it.
+// immutable instance, and that a different model — an edited copy or an
+// equal-valued twin — never shares it.
 func TestSurfaceCacheMemoization(t *testing.T) {
 	dev := hw.GTXTitanX()
 	m := surfaceTestModel(dev, 6)
@@ -174,21 +175,21 @@ func TestSurfaceCacheMemoization(t *testing.T) {
 		t.Fatal("equal utilization did not hit the cache")
 	}
 
-	// In-place mutation + invalidation: new generation, fresh surface.
-	m.OmegaMem *= 1.5
-	m.InvalidateSurfaces()
-	s4, err := c.Get(ctx, m, dev, m.Ref, u)
+	// An edited copy is a different model: fresh surface, fresh predictions.
+	edited := *m
+	edited.OmegaMem *= 1.5
+	s4, err := c.Get(ctx, &edited, dev, edited.Ref, u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s4 == s1 {
-		t.Fatal("InvalidateSurfaces did not invalidate the cached surface")
+		t.Fatal("an edited copy was served the original's surface")
 	}
 	if math.Float64bits(s4.PowerW[0]) == math.Float64bits(s1.PowerW[0]) {
-		t.Fatal("post-invalidation surface reused stale predictions")
+		t.Fatal("the edited copy's surface reused the original's predictions")
 	}
 
-	// A second model never shares generations, hence never shares entries.
+	// A second model with equal values is still another model.
 	m2 := surfaceTestModel(dev, 6)
 	s5, err := c.Get(ctx, m2, dev, m2.Ref, u)
 	if err != nil {
@@ -199,31 +200,94 @@ func TestSurfaceCacheMemoization(t *testing.T) {
 	}
 }
 
-// TestSurfaceCacheEviction checks the capacity bound: stale generations are
-// dropped first, and the shard survives overflow of live entries.
+// TestSurfaceCacheEviction checks the capacity bound: the cache survives
+// overflow of one model's entries, and on overflow other models' entries
+// are dropped first while the missing model's stay.
 func TestSurfaceCacheEviction(t *testing.T) {
 	dev := hw.GTXTitanX()
-	m := surfaceTestModel(dev, 7)
-	c := NewSurfaceCache(1)
+	old := surfaceTestModel(dev, 7)
+	const capacity = 8
+	c := NewSurfaceCache(capacity)
 	ctx := context.Background()
 	rng := stats.NewRNG(8)
 	for i := 0; i < 64; i++ {
-		if _, err := c.Get(ctx, m, dev, m.Ref, randomUtil(rng)); err != nil {
+		if _, err := c.Get(ctx, old, dev, old.Ref, randomUtil(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n > surfaceShards {
-		t.Fatalf("cache grew to %d entries despite per-shard capacity 1", n)
+	if n := c.Len(); n > capacity {
+		t.Fatalf("cache grew to %d entries despite capacity %d", n, capacity)
 	}
-	// Entries from an invalidated generation are reclaimed on overflow.
-	m.InvalidateSurfaces()
-	for i := 0; i < 64; i++ {
-		if _, err := c.Get(ctx, m, dev, m.Ref, randomUtil(rng)); err != nil {
+
+	// Fill a fresh cache half with the old model, half with its
+	// replacement; the replacement's next miss evicts only the old model.
+	c = NewSurfaceCache(capacity)
+	live := *old
+	var liveUtils []Utilization
+	var liveSurfaces []*Surface
+	for i := 0; i < capacity; i++ {
+		m, u := old, randomUtil(rng)
+		if i%2 == 1 {
+			m = &live
+		}
+		s, err := c.Get(ctx, m, dev, m.Ref, u)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if m == &live {
+			liveUtils, liveSurfaces = append(liveUtils, u), append(liveSurfaces, s)
+		}
 	}
-	if n := c.Len(); n > surfaceShards {
-		t.Fatalf("cache grew to %d entries after invalidation", n)
+	if _, err := c.Get(ctx, &live, dev, live.Ref, randomUtil(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Len(); n != capacity/2+1 {
+		t.Fatalf("%d entries after overflow, want the live model's %d", n, capacity/2+1)
+	}
+	for i, u := range liveUtils {
+		s, err := c.Get(ctx, &live, dev, live.Ref, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != liveSurfaces[i] {
+			t.Fatalf("the live model's surface %d was evicted", i)
+		}
+	}
+}
+
+// TestSurfaceCacheEditedCopy: a struct copy of a cached model with β0
+// doubled is a different model to the cache. It gets its own surface,
+// whose watts equal Model.Predict on the copy bit for bit.
+func TestSurfaceCacheEditedCopy(t *testing.T) {
+	m, err := LoadModel("../../testdata/gtx-titan-x-fit-model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := hw.GTXTitanX()
+	u := Utilization{hw.SP: 0.5, hw.DRAM: 0.25}
+	ctx := context.Background()
+	c := NewSurfaceCache(8)
+	orig, err := c.Get(ctx, m, dev, m.Ref, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := *m
+	edited.Beta[0] *= 2
+	s, err := c.Get(ctx, &edited, dev, edited.Ref, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s == orig {
+		t.Fatal("the edited copy was served the original's surface")
+	}
+	for i, cfg := range s.Configs {
+		want, err := edited.Predict(u, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(s.PowerW[i]) != math.Float64bits(want) {
+			t.Fatalf("ladder point %d %v: served %.2f W, the copy predicts %.2f W", i, cfg, s.PowerW[i], want)
+		}
 	}
 }
 
@@ -280,7 +344,7 @@ func TestSurfaceCachePredictAllocFree(t *testing.T) {
 
 // TestSurfaceCacheConcurrent hammers one cache from many goroutines over a
 // small key set; every caller must observe the same instance per key. Run
-// under -race this doubles as the data-race check for the sharded maps.
+// under -race this doubles as the data-race check for the cache map.
 func TestSurfaceCacheConcurrent(t *testing.T) {
 	dev := hw.GTXTitanX()
 	m := surfaceTestModel(dev, 11)

@@ -27,15 +27,23 @@ func (u Utilization) Clone() Utilization {
 }
 
 // Validate checks all rates are finite and within [0, 1] (after clamping
-// tolerance for event noise).
+// tolerance for event noise) and every key is a modelled component. The
+// error names the first bad rate in hw.Components order, else the lowest
+// invalid key, so one input always gets one message.
 func (u Utilization) Validate() error {
-	for c, v := range u {
-		if !c.Valid() {
-			return fmt.Errorf("core: utilization has invalid component %v", c)
-		}
-		if !(v >= 0 && v <= 1) {
+	for _, c := range hw.Components {
+		if v, ok := u[c]; ok && !(v >= 0 && v <= 1) {
 			return fmt.Errorf("core: utilization of %s is %g, outside [0,1]", c, v)
 		}
+	}
+	bad, found := hw.Component(0), false
+	for c := range u {
+		if !c.Valid() && (!found || c < bad) {
+			bad, found = c, true
+		}
+	}
+	if found {
+		return fmt.Errorf("core: utilization has invalid component %v", bad)
 	}
 	return nil
 }

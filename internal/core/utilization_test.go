@@ -136,3 +136,25 @@ func TestUtilizationValidateAndClone(t *testing.T) {
 		t.Fatal("invalid component accepted")
 	}
 }
+
+// TestUtilizationValidateDeterministic: with several bad entries, Validate
+// names the first out-of-range rate in hw.Components order, else the
+// lowest invalid key, whatever order the map iterates in.
+func TestUtilizationValidateDeterministic(t *testing.T) {
+	cases := []struct {
+		u    Utilization
+		want string
+	}{
+		{Utilization{hw.SP: 50, hw.DP: 7, hw.Int: 9}, "core: utilization of INT is 9, outside [0,1]"},
+		{Utilization{hw.DRAM: -1, hw.Component(42): 0.5, hw.L2: 0.5}, "core: utilization of DRAM is -1, outside [0,1]"},
+		{Utilization{hw.Component(42): 0.5, hw.Component(-3): 0.5, hw.Component(9): 2, hw.SP: 0.5}, "core: utilization has invalid component Component(-3)"},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 200; i++ {
+			err := tc.u.Validate()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("call %d on %v: %v, want %q", i, tc.u, err, tc.want)
+			}
+		}
+	}
+}

@@ -127,14 +127,6 @@ func SharedRig(deviceName string, seed uint64) (*Rig, error) {
 	return r, nil
 }
 
-// ResetSharedRigs clears the process-wide rig cache (tests use it to ensure
-// independence).
-func ResetSharedRigs() {
-	rigCacheMu.Lock()
-	defer rigCacheMu.Unlock()
-	rigCache = map[string]*Rig{}
-}
-
 // SharedRigs resolves (and warms) one shared rig per device name, fitting
 // the models in parallel. Each rig owns its simulator, profiler, dataset
 // and model, so the per-device pipelines are independent; result slot i

@@ -145,11 +145,13 @@ func BuildMemberDatasets(ctx context.Context, members []*Member) ([]*core.Datase
 // models land in slot i for datasets[i]. Models are bitwise-identical to
 // individual core.Estimate calls on the same datasets.
 func FitDatasets(ctx context.Context, datasets []*core.Dataset, opts *core.EstimatorOptions) ([]*core.Model, error) {
-	workspaces := parallel.NewPerWorker(core.NewFitWorkspace)
-	workspaces.Ensure(parallel.Workers())
+	workspaces := make([]*core.FitWorkspace, parallel.Workers())
+	for w := range workspaces {
+		workspaces[w] = core.NewFitWorkspace()
+	}
 	models := make([]*core.Model, len(datasets))
 	err := parallel.ForEachWorker(len(datasets), func(w, i int) error {
-		m, err := core.EstimateWith(ctx, datasets[i], opts, workspaces.Get(w))
+		m, err := core.EstimateWith(ctx, datasets[i], opts, workspaces[w])
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,6 @@ package governor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -140,20 +139,12 @@ func (g *Governor) DecideContext(ctx context.Context, u core.Utilization) (hw.Co
 // strict `score < best` comparison are those of the historical per-point
 // loop, so the chosen configuration is byte-identical.
 func Decide(ctx context.Context, m *core.Model, dev *hw.Device, policy Policy, powerCap float64, u core.Utilization) (hw.Config, error) {
-	ref := m.Ref
 	cap := powerCap
 	if cap <= 0 {
 		cap = dev.TDP
 	}
-	s, err := core.Surfaces.Get(ctx, m, dev, ref, u)
+	s, err := core.Surfaces.Get(ctx, m, dev, m.Ref, u)
 	if err != nil {
-		var npe *core.NonPositiveRefPowerError
-		if errors.As(err, &npe) {
-			// The cap filter below decides feasibility; a non-positive
-			// reference power only invalidates the energy normalization,
-			// which the governor's scores never use. Recompute without it.
-			return decideUncached(m, dev, policy, cap, u)
-		}
 		return hw.Config{}, err
 	}
 	i, err := DecideOnSurface(s, policy, cap)
@@ -211,37 +202,6 @@ func DecideOnSurfaceBounded(s *core.Surface, policy Policy, powerCap, maxRelTime
 		}
 		//gpower:allocs infeasible-cap error path: no ladder point survives the cap filter
 		return -1, fmt.Errorf("governor: no configuration satisfies the %g W cap", powerCap)
-	}
-	return best, nil
-}
-
-// decideUncached is the historical per-point loop, retained for profiles
-// whose reference power prediction is non-positive (the surface layer
-// refuses to build relative-energy columns for those, but the governor's
-// scores are cap-filtered absolutes and remain well-defined).
-func decideUncached(m *core.Model, dev *hw.Device, policy Policy, cap float64, u core.Utilization) (hw.Config, error) {
-	ref := m.Ref
-	best := ref
-	bestScore, haveBest := 0.0, false
-	for _, cfg := range dev.AllConfigs() {
-		p, err := m.Predict(u, cfg)
-		if err != nil {
-			return hw.Config{}, err
-		}
-		if p > cap {
-			continue
-		}
-		rt := core.EstimateRelativeTime(u, ref, cfg)
-		score, err := policy.Score(p, rt)
-		if err != nil {
-			return hw.Config{}, err
-		}
-		if !haveBest || score < bestScore {
-			best, bestScore, haveBest = cfg, score, true
-		}
-	}
-	if !haveBest {
-		return hw.Config{}, fmt.Errorf("governor: no configuration satisfies the %g W cap", cap)
 	}
 	return best, nil
 }

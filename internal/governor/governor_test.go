@@ -262,3 +262,60 @@ func TestMinEDPRespectsPerformanceMore(t *testing.T) {
 		t.Fatalf("min-EDP decision slower (%.2fx) than min-energy (%.2fx)", rtD, rtE)
 	}
 }
+
+// scanDecide is the per-point decision oracle: Model.Predict and
+// EstimateRelativeTime at every ladder configuration, the lowest policy
+// score at or under the cap, the first in ladder order on ties.
+func scanDecide(t *testing.T, m *core.Model, dev *hw.Device, policy Policy, powerCap float64, u core.Utilization) hw.Config {
+	t.Helper()
+	best, bestScore, found := hw.Config{}, 0.0, false
+	for _, cfg := range dev.AllConfigs() {
+		p, err := m.Predict(u, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p > powerCap {
+			continue
+		}
+		score, err := policy.Score(p, core.EstimateRelativeTime(u, m.Ref, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found || score < bestScore {
+			best, bestScore, found = cfg, score, true
+		}
+	}
+	if !found {
+		t.Fatalf("%v: no configuration under %g W", policy, powerCap)
+	}
+	return best
+}
+
+// TestDecideMatchesPointScan pins Decide to the per-point oracle for every
+// policy, on the fitted model and on a model whose β and ω are all zero.
+// The latter predicts 0 W everywhere, the reference included; the
+// governor's scores never divide by the reference power, so the surface
+// serves it like any other model.
+func TestDecideMatchesPointScan(t *testing.T) {
+	_, fitted := rig(t)
+	dev := hw.GTXTitanX()
+	zero := *fitted
+	zero.Beta = [4]float64{}
+	zero.OmegaCore = map[hw.Component]float64{}
+	for _, c := range core.CoreOmegaOrder {
+		zero.OmegaCore[c] = 0
+	}
+	zero.OmegaMem = 0
+	u := core.Utilization{hw.SP: 0.6, hw.Int: 0.2, hw.DRAM: 0.3}
+	for _, m := range []*core.Model{fitted, &zero} {
+		for _, policy := range []Policy{MinEnergy, MinEDP, MaxPerfUnderCap} {
+			got, err := Decide(context.Background(), m, dev, policy, 0, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scanDecide(t, m, dev, policy, dev.TDP, u); got != want {
+				t.Errorf("β0 %g, %v: Decide chose %v, the per-point scan %v", m.Beta[0], policy, got, want)
+			}
+		}
+	}
+}

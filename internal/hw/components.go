@@ -26,9 +26,6 @@ var Components = []Component{Int, SP, DP, SF, Shared, L2, DRAM}
 // ComputeUnits lists the SM execution-unit components (Eq. 8 utilizations).
 var ComputeUnits = []Component{Int, SP, DP, SF}
 
-// MemoryLevels lists the memory-hierarchy components (Eq. 9 utilizations).
-var MemoryLevels = []Component{Shared, L2, DRAM}
-
 // CoreComponents lists the components clocked by the core (graphics) domain.
 // The paper places the L2 cache (and shared memory) in the core domain.
 var CoreComponents = []Component{Int, SP, DP, SF, Shared, L2}

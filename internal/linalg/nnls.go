@@ -43,7 +43,7 @@ func nnls(a *Matrix, b []float64, solve passiveSolver) ([]float64, error) {
 // (DESIGN.md §10).
 //
 // A workspace is single-goroutine state: confine each instance to one
-// worker (see parallel.PerWorker) or guard it externally.
+// worker or guard it externally.
 type NNLSWorkspace struct {
 	maxRows, maxCols int
 

@@ -248,7 +248,7 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 // same-shaped system is solved hundreds of times per fit.
 //
 // A workspace is single-goroutine state: confine each instance to one
-// worker (see parallel.PerWorker) or guard it externally.
+// worker or guard it externally.
 type QRWorkspace struct {
 	maxRows, maxCols int
 	qrData           []float64

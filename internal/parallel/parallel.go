@@ -1,5 +1,7 @@
-// Package parallel is the concurrency substrate of the estimation engine:
-// bounded, GOMAXPROCS-aware parallel loops with deterministic semantics.
+// Package parallel provides bounded, GOMAXPROCS-aware parallel loops with
+// deterministic semantics. The fleet's dataset builds and fits, the
+// experiment fan-outs and the cluster simulator's shards run on it; a
+// single fit is serial.
 //
 // Design rules (see DESIGN.md §"Concurrency architecture"):
 //
@@ -8,10 +10,10 @@
 //     goroutines ever write the same memory. Combined with per-item
 //     arithmetic that is identical to the serial loop body, parallel
 //     execution is bitwise-identical to serial execution.
-//   - Ordered reductions. When a loop reduces to a scalar (e.g. a training
-//     SSE), workers fill per-item partials and the caller folds them in
-//     index order, so the floating-point association is fixed and
-//     independent of scheduling.
+//   - Ordered reductions. When a loop reduces to a scalar (e.g. the
+//     cluster simulator's per-shard metrics), workers fill per-item
+//     partials and the caller folds them in index order, so the
+//     floating-point association is fixed and independent of scheduling.
 //   - Deterministic errors. Per-item errors land in slot i and are joined
 //     in index order, so the reported error does not depend on which
 //     goroutine lost the race.
@@ -170,37 +172,3 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// PerWorker is a lazily-built, Workers()-sized set of per-worker values that
-// survives across loops, so iterative engines (the Section III-D refit
-// loop) reuse per-worker scratch buffers instead of reallocating them every
-// ForEachWorker call:
-//
-//	rows := parallel.NewPerWorker(func() []float64 { return make([]float64, n) })
-//	for iter := ... {
-//	    rows.Ensure(parallel.Workers())
-//	    parallel.ForEachWorker(n, func(w, i int) error { use rows.Get(w) ... })
-//	}
-//
-// Ensure must be called before the loop (growing during a loop would race);
-// Get is then a plain slice index, safe from any worker.
-type PerWorker[T any] struct {
-	make func() T
-	vals []T
-}
-
-// NewPerWorker returns a per-worker value set built on demand by factory.
-func NewPerWorker[T any](factory func() T) *PerWorker[T] {
-	return &PerWorker[T]{make: factory}
-}
-
-// Ensure grows the set to at least n values. It is not safe to call
-// concurrently with Get from workers; call it before fanning out.
-func (p *PerWorker[T]) Ensure(n int) {
-	for len(p.vals) < n {
-		p.vals = append(p.vals, p.make())
-	}
-}
-
-// Get returns worker w's value. Ensure(w+1) must have happened first.
-func (p *PerWorker[T]) Get(w int) T { return p.vals[w] }

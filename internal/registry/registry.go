@@ -7,11 +7,10 @@
 // one pointer store, so readers never observe a half-updated model and
 // never block on a fit in progress. Readers snapshot the model once per
 // batch of predictions, which makes every batch internally consistent —
-// entirely from the old generation or entirely from the new one, never a
-// mix (the registry swap tests pin this under the race detector). After a
-// swap, the outgoing model's memoized prediction surfaces are invalidated
-// (core.Model.InvalidateSurfaces), so the shared surface cache can shed
-// them and a stale generation can never answer for the new fit.
+// entirely from the old model or entirely from the new one, never a mix
+// (the registry swap tests pin this under the race detector). Each entry
+// numbers its installs (FitMeta.Generation), so clients can detect model
+// turnover.
 package registry
 
 import (
@@ -32,8 +31,8 @@ import (
 
 // FitMeta describes how an entry's current model was produced.
 type FitMeta struct {
-	// Generation mirrors the model's surface-cache generation at install
-	// time; a swap always changes it, so clients can detect model turnover.
+	// Generation numbers the entry's installs: 1 for the model NewEntry
+	// installs, one more per Swap. The entry assigns it.
 	Generation uint64
 	// Iterations and Converged report how the Section III-D loop ended.
 	Iterations int
@@ -74,18 +73,20 @@ type Entry struct {
 	fitMu sync.Mutex
 }
 
-// normalizeMeta forces the fields that must mirror the installed model:
-// metadata can never disagree with the model it describes.
-func normalizeMeta(meta FitMeta, m *core.Model) FitMeta {
-	meta.Generation = m.Generation()
+// normalizeMeta forces the install number and the fields that must mirror
+// the installed model: metadata can never disagree with the model it
+// describes.
+func normalizeMeta(meta FitMeta, m *core.Model, gen uint64) FitMeta {
+	meta.Generation = gen
 	meta.Iterations = m.Iterations
 	meta.Converged = m.Converged
 	return meta
 }
 
 // NewEntry builds an entry serving model m for the named device. The
-// backend and profiler may be nil for model-only entries. meta.Generation,
-// meta.Iterations and meta.Converged are forced from the model.
+// backend and profiler may be nil for model-only entries. meta.Generation
+// is set to 1; meta.Iterations and meta.Converged are forced from the
+// model.
 func NewEntry(name string, dev *hw.Device, bk backend.Backend, prof *profiler.Profiler, m *core.Model, meta FitMeta) (*Entry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("registry: empty entry name")
@@ -98,7 +99,7 @@ func NewEntry(name string, dev *hw.Device, bk backend.Backend, prof *profiler.Pr
 			name, m.DeviceName, dev.Name)
 	}
 	e := &Entry{name: name, dev: dev, bk: bk, prof: prof}
-	e.cur.Store(&fitted{model: m, meta: normalizeMeta(meta, m)})
+	e.cur.Store(&fitted{model: m, meta: normalizeMeta(meta, m, 1)})
 	return e, nil
 }
 
@@ -124,11 +125,10 @@ func (e *Entry) Snapshot() (*core.Model, FitMeta) {
 	return f.model, f.meta
 }
 
-// Swap atomically installs a new fitted model and returns the previous
-// one. The old model's memoized prediction surfaces are invalidated, so
-// the process-wide surface cache drops them on its next eviction scan and
-// in-flight readers finish their batches on the old snapshot without ever
-// mixing generations.
+// Swap atomically installs a new fitted model under the next generation
+// and returns the previous one. In-flight readers finish their batches on
+// the old snapshot; its memoized prediction surfaces stay valid for them
+// until the surface cache evicts them on overflow.
 func (e *Entry) Swap(m *core.Model, meta FitMeta) (*core.Model, error) {
 	if m == nil {
 		return nil, fmt.Errorf("registry: entry %q: nil model in swap", e.name)
@@ -137,9 +137,13 @@ func (e *Entry) Swap(m *core.Model, meta FitMeta) (*core.Model, error) {
 		return nil, fmt.Errorf("registry: entry %q: model fitted on %q, device is %q",
 			e.name, m.DeviceName, e.dev.Name)
 	}
-	old := e.cur.Swap(&fitted{model: m, meta: normalizeMeta(meta, m)})
-	old.model.InvalidateSurfaces()
-	return old.model, nil
+	for {
+		old := e.cur.Load()
+		next := &fitted{model: m, meta: normalizeMeta(meta, m, old.meta.Generation+1)}
+		if e.cur.CompareAndSwap(old, next) {
+			return old.model, nil
+		}
+	}
 }
 
 // Refit measures a fresh training dataset through the entry's own

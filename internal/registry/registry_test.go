@@ -52,7 +52,7 @@ func TestNewEntryValidation(t *testing.T) {
 	if _, err := NewEntry("x", other, nil, nil, m, FitMeta{}); err == nil {
 		t.Fatal("device/model mismatch must be rejected")
 	}
-	e, err := NewEntry("k40", dev, nil, nil, m, FitMeta{Source: "test"})
+	e, err := NewEntry("k40", dev, nil, nil, m, FitMeta{Source: "test", Generation: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +60,28 @@ func TestNewEntryValidation(t *testing.T) {
 	if got != m {
 		t.Fatal("snapshot must return the installed model")
 	}
-	if meta.Generation != m.Generation() {
-		t.Fatalf("meta generation %d, model generation %d", meta.Generation, m.Generation())
+	if meta.Generation != 1 {
+		t.Fatalf("first install numbered %d, want 1", meta.Generation)
 	}
 	if meta.Source != "test" {
 		t.Fatalf("source %q lost", meta.Source)
 	}
 }
 
-func TestSwapValidatesAndInvalidates(t *testing.T) {
+// TestSwapValidatesAndKeepsSurfaces checks Swap's guards, and that the
+// outgoing model's memoized surfaces stay warm for the readers still
+// holding it: a swap is a registry event, not an edit of the old model.
+func TestSwapValidatesAndKeepsSurfaces(t *testing.T) {
+	ctx := context.Background()
 	dev := hw.TeslaK40c()
 	a := testModel(t, dev, 40)
 	b := testModel(t, dev, 55)
 	e, err := NewEntry("k40", dev, nil, nil, a, FitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := core.Utilization{hw.SP: 0.3, hw.DRAM: 0.7}
+	before, err := core.Surfaces.Get(ctx, a, dev, a.Ref, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,6 @@ func TestSwapValidatesAndInvalidates(t *testing.T) {
 		t.Fatal("mismatched-device swap must be rejected")
 	}
 
-	genA := a.Generation()
 	old, err := e.Swap(b, FitMeta{Source: "refit"})
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +100,59 @@ func TestSwapValidatesAndInvalidates(t *testing.T) {
 	if old != a {
 		t.Fatal("swap must return the previous model")
 	}
-	if a.Generation() == genA {
-		t.Fatal("swap must invalidate the old model's surfaces (generation unchanged)")
-	}
 	m, meta := e.Snapshot()
-	if m != b || meta.Generation != b.Generation() {
+	if m != b || meta.Source != "refit" {
 		t.Fatal("snapshot must be the new (model, meta) pair")
+	}
+	h0, m0 := core.Surfaces.Stats()
+	after, err := core.Surfaces.Get(ctx, old, dev, old.Ref, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := core.Surfaces.Stats()
+	if after != before || h1 != h0+1 || m1 != m0 {
+		t.Fatalf("outgoing model's surface after swap: same instance %v, %d hits, %d misses; want a hit",
+			after == before, h1-h0, m1-m0)
+	}
+}
+
+// TestSwapNumbersInstalls checks that the entry numbers its installs: 1
+// for the first, one more per swap, whatever the caller's metadata says.
+// Installing the model already served is a swap like any other.
+func TestSwapNumbersInstalls(t *testing.T) {
+	dev := hw.TeslaK40c()
+	a, b := testModel(t, dev, 40), testModel(t, dev, 55)
+	e, err := NewEntry("k40", dev, nil, nil, a, FitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range []*core.Model{b, b, a, a} {
+		if _, err := e.Swap(m, FitMeta{Generation: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, meta := e.Snapshot(); meta.Generation != uint64(i+2) {
+			t.Fatalf("swap %d numbered its install %d, want %d", i+1, meta.Generation, i+2)
+		}
+	}
+
+	// Concurrent swaps lose no install.
+	const swappers, swaps = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < swappers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < swaps; i++ {
+				if _, err := e.Swap(b, FitMeta{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, meta := e.Snapshot(); meta.Generation != 5+swappers*swaps {
+		t.Fatalf("after %d concurrent swaps the install is numbered %d, want %d", swappers*swaps, meta.Generation, 5+swappers*swaps)
 	}
 }
 
@@ -170,8 +225,8 @@ func TestBuildFitsFleetIntoEntries(t *testing.T) {
 		if meta.Source != "simulator" {
 			t.Fatalf("source %q, want simulator", meta.Source)
 		}
-		if meta.Generation != m.Generation() {
-			t.Fatal("meta generation must mirror the model")
+		if meta.Generation != 1 {
+			t.Fatalf("fleet-built entry numbered %d, want 1", meta.Generation)
 		}
 		// The entry keeps the measurement stack: refit must work.
 		if e.prof == nil || e.bk == nil {
@@ -206,7 +261,7 @@ func TestRefitSwapsNewModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen0 := m0.Generation()
+	_, meta0 := e.Snapshot()
 	m1, err := e.Refit(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +273,8 @@ func TestRefitSwapsNewModel(t *testing.T) {
 	if cur != m1 {
 		t.Fatal("refit must swap the new model in")
 	}
-	if meta.Generation == gen0 {
-		t.Fatal("refit must change the generation")
+	if meta.Generation != meta0.Generation+1 {
+		t.Fatalf("refit numbered its install %d after %d", meta.Generation, meta0.Generation)
 	}
 	if meta.Source != "simulator" {
 		t.Fatalf("refit must preserve the source label, got %q", meta.Source)

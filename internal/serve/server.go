@@ -123,7 +123,7 @@ func (s *Server) initMetrics() {
 			return float64(s.reg.Len())
 		})
 	gen := m.NewGaugeFuncVec("gpowerd_model_generation",
-		"Surface-cache generation of the entry's current model; changes on every re-fit swap.", "device")
+		"Install number of the entry's current model: 1 at start-up, one more per swap.", "device")
 	conv := m.NewGaugeFuncVec("gpowerd_model_converged",
 		"Whether the entry's current fit converged (1) or hit the iteration cap (0).", "device")
 	for _, e := range s.reg.Entries() {
@@ -404,19 +404,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// repeated utilization vectors reduce to one cache lookup.
 			surf, err := core.Surfaces.Get(ctx, m, dev, m.Ref, u)
 			if err != nil {
-				var npe *core.NonPositiveRefPowerError
-				if errors.As(err, &npe) {
-					// Relative-energy columns are undefined for this
-					// profile, but absolute power is not; predict directly.
-					watts, err = sc.predictAll(m, u, dev.Ladder())
-				}
-				if err != nil {
-					httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
-					return
-				}
-			} else {
-				watts = surf.PowerW
+				httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
+				return
 			}
+			watts = surf.PowerW
 		} else {
 			cfgs := sc.configs[:0]
 			for _, wc := range req.Items[i].Configs {

@@ -44,9 +44,15 @@ func testModel(t *testing.T, dev *hw.Device, beta0 float64) *core.Model {
 // newTestServer serves one synthetic Tesla K40c entry.
 func newTestServer(t *testing.T, opts *Options) (*httptest.Server, *registry.Entry, *core.Model) {
 	t.Helper()
-	dev := hw.TeslaK40c()
-	m := testModel(t, dev, 40)
-	e, err := registry.NewEntry("Tesla K40c", dev, nil, nil, m, registry.FitMeta{Source: "test"})
+	m := testModel(t, hw.TeslaK40c(), 40)
+	ts, e := serveModel(t, m, opts)
+	return ts, e, m
+}
+
+// serveModel serves m, a Tesla K40c model, as the only entry.
+func serveModel(t *testing.T, m *core.Model, opts *Options) (*httptest.Server, *registry.Entry) {
+	t.Helper()
+	e, err := registry.NewEntry("Tesla K40c", hw.TeslaK40c(), nil, nil, m, registry.FitMeta{Source: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func newTestServer(t *testing.T, opts *Options) (*httptest.Server, *registry.Ent
 	}
 	ts := httptest.NewServer(New(reg, opts))
 	t.Cleanup(ts.Close)
-	return ts, e, m
+	return ts, e
 }
 
 func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -93,7 +99,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestDevices(t *testing.T) {
-	ts, e, m := newTestServer(t, nil)
+	ts, e, _ := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + "/v1/devices")
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +125,8 @@ func TestDevices(t *testing.T) {
 	if d.Name != e.Name() || d.Arch != "Kepler" || d.NumConfigs != 4 || d.Source != "test" {
 		t.Fatalf("device listing wrong: %+v", d)
 	}
-	if d.Generation != m.Generation() {
-		t.Fatalf("generation %d, want %d", d.Generation, m.Generation())
+	if _, meta := e.Snapshot(); d.Generation != meta.Generation {
+		t.Fatalf("generation %d, want %d", d.Generation, meta.Generation)
 	}
 }
 
@@ -134,35 +140,61 @@ type predictResponse struct {
 	Predictions int `json:"predictions"`
 }
 
+// TestPredictFullLadderBitwise: full-ladder watts come from the surface,
+// equal to Model.Predict bit for bit. The second model has all-zero β and
+// ω, so it predicts 0 W everywhere, its reference included.
 func TestPredictFullLadderBitwise(t *testing.T) {
-	ts, _, m := newTestServer(t, nil)
+	zero := testModel(t, hw.TeslaK40c(), 0)
+	zero.Beta = [4]float64{}
+	for c := range zero.OmegaCore {
+		zero.OmegaCore[c] = 0
+	}
+	zero.OmegaMem = 0
 	u := core.Utilization{hw.SP: 0.8, hw.DRAM: 0.4, hw.L2: 0.2}
-	resp, data := postJSON(t, ts.URL+"/v1/predict",
-		`{"device":"Tesla K40c","items":[{"utilization":{"SP":0.8,"DRAM":0.4,"L2":0.2}}]}`)
-	if resp.StatusCode != 200 {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
-	}
-	var out predictResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
 	configs := hw.TeslaK40c().AllConfigs()
-	if len(out.Results) != 1 || len(out.Results[0].Watts) != len(configs) {
-		t.Fatalf("shape wrong: %+v", out)
-	}
-	if out.Predictions != len(configs) {
-		t.Fatalf("predictions = %d, want %d", out.Predictions, len(configs))
-	}
-	if out.Generation != m.Generation() {
-		t.Fatalf("generation = %d, want %d", out.Generation, m.Generation())
-	}
-	for i, cfg := range configs {
-		want, err := m.Predict(u, cfg)
-		if err != nil {
+	for _, m := range []*core.Model{testModel(t, hw.TeslaK40c(), 40), zero} {
+		ts, e := serveModel(t, m, nil)
+		resp, data := postJSON(t, ts.URL+"/v1/predict",
+			`{"device":"Tesla K40c","items":[{"utilization":{"SP":0.8,"DRAM":0.4,"L2":0.2}}]}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
+		}
+		var out predictResponse
+		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(out.Results[0].Watts[i]) != math.Float64bits(want) {
-			t.Fatalf("config %v: served %x, direct %x", cfg, out.Results[0].Watts[i], want)
+		if len(out.Results) != 1 || len(out.Results[0].Watts) != len(configs) {
+			t.Fatalf("shape wrong: %+v", out)
+		}
+		if out.Predictions != len(configs) {
+			t.Fatalf("predictions = %d, want %d", out.Predictions, len(configs))
+		}
+		if _, meta := e.Snapshot(); out.Generation != meta.Generation {
+			t.Fatalf("generation = %d, want %d", out.Generation, meta.Generation)
+		}
+		for i, cfg := range configs {
+			want, err := m.Predict(u, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(out.Results[0].Watts[i]) != math.Float64bits(want) {
+				t.Fatalf("β0 %g, config %v: served %x, direct %x", m.Beta[0], cfg, out.Results[0].Watts[i], want)
+			}
+		}
+	}
+}
+
+// TestPredictUtilizationErrorDeterministic: a request with several
+// out-of-range components gets the same 400 body every time, naming the
+// first in canonical component order.
+func TestPredictUtilizationErrorDeterministic(t *testing.T) {
+	ts, _, _ := newTestServer(t, nil)
+	const body = `{"device":"Tesla K40c","items":[{"utilization":{"SP":50,"DP":7,"INT":9}}]}`
+	const want = `{"error":"items[0]: core: utilization of INT is 9, outside [0,1]"}`
+	for i := 0; i < 200; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/predict", body)
+		if got := strings.TrimSpace(string(data)); resp.StatusCode != 400 || got != want {
+			t.Fatalf("call %d: HTTP %d %s, want 400 %s", i, resp.StatusCode, got, want)
 		}
 	}
 }
@@ -457,17 +489,18 @@ func TestSwapMidTraffic(t *testing.T) {
 		}(r)
 	}
 
-	// The generation each model was installed under. Swap gives the
-	// outgoing model a fresh generation, so by the time a reader looks,
-	// the model that served its batch may already carry another one; the
-	// reported generation must match the one it was serving under.
-	installedAs := map[uint64]*core.Model{a.Generation(): a}
+	// The model each generation installed. Every swap is a new install
+	// under a new generation, so the generation a response reports must
+	// name an install of the model that served its batch.
+	_, meta := e.Snapshot()
+	installedAs := map[uint64]*core.Model{meta.Generation: a}
 	cur, next := a, b
 	for i := 0; i < 150; i++ {
 		if _, err := e.Swap(next, registry.FitMeta{}); err != nil {
 			t.Fatal(err)
 		}
-		installedAs[next.Generation()] = next
+		_, meta = e.Snapshot()
+		installedAs[meta.Generation] = next
 		cur, next = next, cur
 	}
 	close(stop)
