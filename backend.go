@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"gpupower/internal/backend"
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/backend/trace"
 	"gpupower/internal/profiler"
+	"gpupower/internal/sim"
 )
 
 // Backend is the measurement surface of one GPU: clock control, a power
@@ -52,7 +52,11 @@ type Trace = trace.Trace
 // device: the same stack Open uses, exposed as a Backend so it can be
 // wrapped (e.g. by Record) or swapped for a trace.
 func NewSimBackend(deviceName string, seed uint64) (Backend, error) {
-	return simbk.Open(deviceName, seed)
+	s, err := sim.Open(deviceName, seed)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Record wraps any backend so that every measurement interaction is

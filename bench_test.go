@@ -536,7 +536,7 @@ func BenchmarkServePredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	entry, err := registry.NewEntry(r.Device.Name, r.Device, r.Backend, r.Profiler, m,
+	entry, err := registry.NewEntry(r.Device.Name, r.Device, r.Sim, r.Profiler, m,
 		registry.FitMeta{Source: "simulator"})
 	if err != nil {
 		b.Fatal(err)

@@ -58,7 +58,8 @@ const (
 	// ClusterStatic runs every job at reference clocks (the baseline).
 	ClusterStatic = cluster.Static
 	// ClusterModelDVFS applies the fitted model through the governor per
-	// (device model, kernel class), via the generation-keyed decision cache.
+	// (device model, kernel class), via the decision cache keyed by
+	// prediction-surface identity.
 	ClusterModelDVFS = cluster.ModelDVFS
 	// ClusterOracle picks a per-job minimum-energy point that meets the
 	// job's deadline given queue state at dispatch.

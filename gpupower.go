@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
@@ -99,23 +98,11 @@ type GPU struct {
 // stochastic behaviour (sensor noise, per-die event error) derives
 // deterministically from seed.
 func Open(deviceName string, seed uint64) (*GPU, error) {
-	dev, err := hw.DeviceByName(deviceName)
+	s, err := sim.Open(deviceName, seed)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(dev, seed)
-	if err != nil {
-		return nil, err
-	}
-	b, err := simbk.New(s)
-	if err != nil {
-		return nil, err
-	}
-	p, err := profiler.New(b)
-	if err != nil {
-		return nil, err
-	}
-	return &GPU{dev: dev, b: b, prof: p}, nil
+	return OpenBackend(s)
 }
 
 // Device returns the static hardware description.

@@ -6,11 +6,11 @@ import (
 	"sync"
 	"testing"
 
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
+	"gpupower/internal/sim"
 	"gpupower/internal/suites"
 )
 
@@ -25,7 +25,7 @@ func tuner(t *testing.T) *Tuner {
 	t.Helper()
 	rigOnce.Do(func() {
 		ctx := context.Background()
-		b, err := simbk.Open("GTX Titan X", 42)
+		b, err := sim.Open("GTX Titan X", 42)
 		if err != nil {
 			rigErr = err
 			return

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"gpupower/internal/backend"
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
+	"gpupower/internal/sim"
 )
 
 func testKernel(name string) *kernels.KernelSpec {
@@ -25,9 +25,9 @@ func testKernel(name string) *kernels.KernelSpec {
 	}
 }
 
-func openRecorder(t *testing.T) (*Recorder, *simbk.Backend) {
+func openRecorder(t *testing.T) (*Recorder, *sim.Device) {
 	t.Helper()
-	b, err := simbk.Open("Tesla K40c", 7)
+	b, err := sim.Open("Tesla K40c", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,15 @@
 //   - Pooled, intrusively-linked event records on an indexed binary heap
 //     (event.go): zero steady-state allocations, pinned by AllocsPerRun.
 //   - Governor decisions resolved once per (device model, kernel class)
-//     through the generation-keyed DecisionCache (decision.go), so the
-//     event loop's dispatch cost is array indexing, not a ladder scan.
+//     through the DecisionCache (decision.go), keyed by prediction-surface
+//     identity, so the event loop's dispatch cost is array indexing, not a
+//     ladder scan.
 //   - Per-GPU splitmix64 substreams (workload.go), so each GPU's history is
 //     independent of sharding, and parallel runs — GPUs sharded across
 //     internal/parallel workers, per-GPU accumulators folded in GPU index
 //     order — are bitwise-identical to the serial engine
-//     (GPUPOWER_SEQUENTIAL=1 is the oracle, as everywhere in this repo).
+//     (parallel.SetSequential(true) is the oracle, as everywhere in this
+//     repo).
 package cluster
 
 import (
@@ -74,7 +76,7 @@ const (
 	Static Policy = iota
 	// ModelDVFS picks, per (device model, kernel class), the governor-policy
 	// optimum over the predicted ladder, bounded by Options.MaxStretch;
-	// decisions come from the generation-keyed DecisionCache.
+	// decisions come from the DecisionCache, keyed by surface identity.
 	ModelDVFS
 	// Oracle picks, per job, the minimum-energy ladder point that still
 	// meets the job's deadline given the queue state at dispatch — a

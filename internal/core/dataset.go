@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"gpupower/internal/backend"
-	"gpupower/internal/cupti"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
@@ -102,11 +101,11 @@ func CalibrateL2BytesPerCycle(ctx context.Context, p *profiler.Profiler, ref hw.
 			return 0, err
 		}
 		kp := prof.Kernels[0]
-		aCycles := kp.Metrics[cupti.MetricACycles]
+		aCycles := kp.Metrics[backend.MetricACycles]
 		if aCycles <= 0 {
 			continue
 		}
-		l2Bytes := (kp.Metrics[cupti.MetricL2Read] + kp.Metrics[cupti.MetricL2Write]) * 32
+		l2Bytes := (kp.Metrics[backend.MetricL2Read] + kp.Metrics[backend.MetricL2Write]) * 32
 		if bpc := l2Bytes / aCycles; bpc > best {
 			best = bpc
 		}

@@ -5,17 +5,17 @@ import (
 	"math"
 	"testing"
 
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
+	"gpupower/internal/sim"
 )
 
 func k40Profiler(t *testing.T) *profiler.Profiler {
 	t.Helper()
 	// Tesla K40c: smallest configuration space, fast tests.
-	b, err := simbk.Open("Tesla K40c", 42)
+	b, err := sim.Open("Tesla K40c", 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 
-	"gpupower/internal/cupti"
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 )
 
@@ -67,8 +67,8 @@ func clamp01(v float64) float64 {
 // bytes per core cycle (Section III-C: "the L2 cache peak bandwidth cannot
 // be computed as trivially … it was experimentally determined with a set of
 // specific L2 microbenchmarks"); see CalibrateL2BytesPerCycle.
-func UtilizationFromMetrics(dev *hw.Device, ref hw.Config, m map[cupti.Metric]float64, l2BytesPerCycle float64) (Utilization, error) {
-	aCycles := m[cupti.MetricACycles]
+func UtilizationFromMetrics(dev *hw.Device, ref hw.Config, m backend.Metrics, l2BytesPerCycle float64) (Utilization, error) {
+	aCycles := m[backend.MetricACycles]
 	if aCycles <= 0 {
 		return nil, fmt.Errorf("core: non-positive active cycles %g", aCycles)
 	}
@@ -83,9 +83,9 @@ func UtilizationFromMetrics(dev *hw.Device, ref hw.Config, m map[cupti.Metric]fl
 
 	// Eq. 10: the SP and INT units share one warp counter; split it by the
 	// per-type instruction counts.
-	warpsIntSP := m[cupti.MetricWarpsSPInt]
-	instInt := m[cupti.MetricInstInt]
-	instSP := m[cupti.MetricInstSP]
+	warpsIntSP := m[backend.MetricWarpsSPInt]
+	instInt := m[backend.MetricInstInt]
+	instSP := m[backend.MetricInstSP]
 	var warpsInt, warpsSP float64
 	if tot := instInt + instSP; tot > 0 {
 		warpsInt = warpsIntSP * instInt / tot
@@ -100,14 +100,14 @@ func UtilizationFromMetrics(dev *hw.Device, ref hw.Config, m map[cupti.Metric]fl
 	}
 	u[hw.Int] = clamp01(compute(hw.Int, warpsInt))
 	u[hw.SP] = clamp01(compute(hw.SP, warpsSP))
-	u[hw.DP] = clamp01(compute(hw.DP, m[cupti.MetricWarpsDP]))
-	u[hw.SF] = clamp01(compute(hw.SF, m[cupti.MetricWarpsSF]))
+	u[hw.DP] = clamp01(compute(hw.DP, m[backend.MetricWarpsDP]))
+	u[hw.SF] = clamp01(compute(hw.SF, m[backend.MetricWarpsSF]))
 
 	// Eq. 9: U_y = ABand_y / PeakBand_y. Sector queries are 32 B; shared
 	// transactions move banks×4 B.
-	sharedBytes := (m[cupti.MetricSharedLoad] + m[cupti.MetricSharedStore]) * float64(dev.SharedBanks) * 4
-	l2Bytes := (m[cupti.MetricL2Read] + m[cupti.MetricL2Write]) * 32
-	dramBytes := (m[cupti.MetricDRAMRead] + m[cupti.MetricDRAMWrite]) * 32
+	sharedBytes := (m[backend.MetricSharedLoad] + m[backend.MetricSharedStore]) * float64(dev.SharedBanks) * 4
+	l2Bytes := (m[backend.MetricL2Read] + m[backend.MetricL2Write]) * 32
+	dramBytes := (m[backend.MetricDRAMRead] + m[backend.MetricDRAMWrite]) * 32
 
 	u[hw.Shared] = clamp01(sharedBytes / seconds / dev.PeakSharedBandwidth(ref.CoreMHz))
 	u[hw.L2] = clamp01(l2Bytes / seconds / (ref.CoreMHz * 1e6 * l2BytesPerCycle))

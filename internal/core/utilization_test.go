@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"gpupower/internal/cupti"
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 )
 
@@ -12,20 +12,20 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // syntheticMetrics builds an exact Table I metric set for a hypothetical
 // kernel on the GTX Titan X at the default configuration.
-func syntheticMetrics(aCycles float64) map[cupti.Metric]float64 {
-	return map[cupti.Metric]float64{
-		cupti.MetricACycles:     aCycles,
-		cupti.MetricWarpsSPInt:  2.7e8,
-		cupti.MetricInstInt:     0.3e8 * 32, // 1/9 of the combined warps are INT
-		cupti.MetricInstSP:      2.4e8 * 32,
-		cupti.MetricWarpsDP:     1e7,
-		cupti.MetricWarpsSF:     5e7,
-		cupti.MetricSharedLoad:  2e6,
-		cupti.MetricSharedStore: 1e6,
-		cupti.MetricL2Read:      8e6,
-		cupti.MetricL2Write:     4e6,
-		cupti.MetricDRAMRead:    6e6,
-		cupti.MetricDRAMWrite:   2e6,
+func syntheticMetrics(aCycles float64) backend.Metrics {
+	return backend.Metrics{
+		backend.MetricACycles:     aCycles,
+		backend.MetricWarpsSPInt:  2.7e8,
+		backend.MetricInstInt:     0.3e8 * 32, // 1/9 of the combined warps are INT
+		backend.MetricInstSP:      2.4e8 * 32,
+		backend.MetricWarpsDP:     1e7,
+		backend.MetricWarpsSF:     5e7,
+		backend.MetricSharedLoad:  2e6,
+		backend.MetricSharedStore: 1e6,
+		backend.MetricL2Read:      8e6,
+		backend.MetricL2Write:     4e6,
+		backend.MetricDRAMRead:    6e6,
+		backend.MetricDRAMWrite:   2e6,
 	}
 }
 
@@ -74,7 +74,7 @@ func TestUtilizationClamping(t *testing.T) {
 	ref := dev.DefaultConfig()
 	m := syntheticMetrics(1e6)
 	// Absurdly high DRAM sectors: must clamp to 1.
-	m[cupti.MetricDRAMRead] = 1e15
+	m[backend.MetricDRAMRead] = 1e15
 	u, err := UtilizationFromMetrics(dev, ref, m, 768)
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +89,9 @@ func TestUtilizationZeroInstructionSplit(t *testing.T) {
 	dev := hw.GTXTitanX()
 	ref := dev.DefaultConfig()
 	m := syntheticMetrics(1e9)
-	m[cupti.MetricWarpsSPInt] = 0
-	m[cupti.MetricInstInt] = 0
-	m[cupti.MetricInstSP] = 0
+	m[backend.MetricWarpsSPInt] = 0
+	m[backend.MetricInstInt] = 0
+	m[backend.MetricInstSP] = 0
 	u, err := UtilizationFromMetrics(dev, ref, m, 768)
 	if err != nil {
 		t.Fatal(err)

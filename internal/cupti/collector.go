@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
-	"gpupower/internal/sim"
 	"gpupower/internal/stats"
 )
 
-// Collector gathers performance events for kernel launches on one device.
+// Collector gathers performance events for kernel launches on one die.
 //
 // Each die carries two kinds of event error, both deterministic for a given
 // die so that re-profiling a kernel reproduces the same (possibly wrong)
@@ -28,10 +28,10 @@ import (
 //     error to exactly this ("a reduced accuracy of the hardware events
 //     when characterizing the utilization", Section V-B).
 type Collector struct {
-	dev     *sim.Device
+	dev     *hw.Device
 	table   EventTable
 	passes  [][]Event           // replay schedule (hardware counter budget)
-	metric  map[EventID]Metric  // owning metric per event
+	metric  map[EventID]string  // owning metric per event
 	fanout  map[EventID]int     // events sharing the metric (aggregation split)
 	sys     map[EventID]float64 // per-die systematic multiplier per event
 	dieSalt uint64              // decorrelates workload biases across dies
@@ -63,17 +63,19 @@ func workloadSigma(a hw.Arch) float64 {
 // readSigma is the per-collection relative read noise.
 const readSigma = 0.003
 
-// NewCollector creates an event collector for the device.
-func NewCollector(d *sim.Device) (*Collector, error) {
-	table, err := Table(d.HW())
+// NewCollector creates the event collector of one die of dev. It draws the
+// die's event error from rng, in a fixed order: the per-event bias over the
+// events of backend.AllMetrics, then the die salt; rng.Fork(7) then feeds
+// the per-collection read noise.
+func NewCollector(dev *hw.Device, rng *stats.RNG) (*Collector, error) {
+	table, err := Table(dev)
 	if err != nil {
 		return nil, err
 	}
-	rng := d.EventRNG()
-	sigma := systematicSigma(d.HW().Arch)
+	sigma := systematicSigma(dev.Arch)
 	sys := make(map[EventID]float64)
 	// Draw the die's per-event bias in a deterministic event order.
-	for _, m := range AllMetrics {
+	for _, m := range backend.AllMetrics {
 		for _, e := range table[m] {
 			if _, ok := sys[e.ID]; ok {
 				continue
@@ -85,23 +87,23 @@ func NewCollector(d *sim.Device) (*Collector, error) {
 			sys[e.ID] = f
 		}
 	}
-	passes, err := Passes(table, d.HW().Arch)
+	passes, err := Passes(table, dev.Arch)
 	if err != nil {
 		return nil, err
 	}
-	if err := validatePasses(passes, table, d.HW().Arch); err != nil {
+	if err := validatePasses(passes, table, dev.Arch); err != nil {
 		return nil, err
 	}
-	metric := map[EventID]Metric{}
+	metric := map[EventID]string{}
 	fanout := map[EventID]int{}
-	for _, m := range AllMetrics {
+	for _, m := range backend.AllMetrics {
 		for _, e := range table[m] {
 			metric[e.ID] = m
 			fanout[e.ID] = len(table[m])
 		}
 	}
 	return &Collector{
-		dev:     d,
+		dev:     dev,
 		table:   table,
 		passes:  passes,
 		metric:  metric,
@@ -112,12 +114,6 @@ func NewCollector(d *sim.Device) (*Collector, error) {
 	}, nil
 }
 
-// PassCount reports how many kernel replays one collection performs.
-func (c *Collector) PassCount() int { return len(c.passes) }
-
-// Table returns the device's event table.
-func (c *Collector) Table() EventTable { return c.table }
-
 // workloadBias returns the deterministic per-(metric, kernel) relative bias
 // factor. It hashes the kernel's identity with the die salt so the same
 // kernel on the same die always reads the same (wrong) way, while different
@@ -125,11 +121,11 @@ func (c *Collector) Table() EventTable { return c.table }
 // keyed per metric, not per event, because the events behind one metric
 // (e.g. the four Kepler SP/INT warp counters) mis-characterize the same
 // underlying quantity the same way.
-func (c *Collector) workloadBias(m Metric, k *kernels.KernelSpec) float64 {
+func (c *Collector) workloadBias(m string, k *kernels.KernelSpec) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%.0f|%.0f", m, k.Name, k.Warp(hw.Int)+k.Warp(hw.SP), k.DRAMBytes())
 	r := stats.NewRNG(h.Sum64() ^ c.dieSalt)
-	f := 1 + r.Normal(0, workloadSigma(c.dev.HW().Arch))
+	f := 1 + r.Normal(0, workloadSigma(c.dev.Arch))
 	if f < 0.3 {
 		f = 0.3
 	}
@@ -137,48 +133,46 @@ func (c *Collector) workloadBias(m Metric, k *kernels.KernelSpec) float64 {
 }
 
 // idealFor computes the exact per-metric values of one kernel replay.
-func (c *Collector) idealFor(k *kernels.KernelSpec, activeCycles float64) map[Metric]float64 {
-	hwd := c.dev.HW()
-	return map[Metric]float64{
-		MetricACycles: activeCycles,
+func (c *Collector) idealFor(k *kernels.KernelSpec, activeCycles float64) map[string]float64 {
+	return map[string]float64{
+		backend.MetricACycles: activeCycles,
 		// 32-byte sectors at L2 and DRAM.
-		MetricL2Read:    k.L2ReadBytes / 32,
-		MetricL2Write:   k.L2WriteBytes / 32,
-		MetricDRAMRead:  k.DRAMReadBytes / 32,
-		MetricDRAMWrite: k.DRAMWriteBytes / 32,
+		backend.MetricL2Read:    k.L2ReadBytes / 32,
+		backend.MetricL2Write:   k.L2WriteBytes / 32,
+		backend.MetricDRAMRead:  k.DRAMReadBytes / 32,
+		backend.MetricDRAMWrite: k.DRAMWriteBytes / 32,
 		// A shared transaction moves banks×4 bytes.
-		MetricSharedLoad:  k.SharedLoadBytes / (float64(hwd.SharedBanks) * 4),
-		MetricSharedStore: k.SharedStoreBytes / (float64(hwd.SharedBanks) * 4),
+		backend.MetricSharedLoad:  k.SharedLoadBytes / (float64(c.dev.SharedBanks) * 4),
+		backend.MetricSharedStore: k.SharedStoreBytes / (float64(c.dev.SharedBanks) * 4),
 		// The SP and INT warp counters are physically combined (Eq. 10).
-		MetricWarpsSPInt: k.Warp(hw.Int) + k.Warp(hw.SP),
-		MetricWarpsDP:    k.Warp(hw.DP),
-		MetricWarpsSF:    k.Warp(hw.SF),
+		backend.MetricWarpsSPInt: k.Warp(hw.Int) + k.Warp(hw.SP),
+		backend.MetricWarpsDP:    k.Warp(hw.DP),
+		backend.MetricWarpsSF:    k.Warp(hw.SF),
 		// Instruction counters count thread instructions.
-		MetricInstInt: k.Warp(hw.Int) * float64(hwd.WarpSize),
-		MetricInstSP:  k.Warp(hw.SP) * float64(hwd.WarpSize),
+		backend.MetricInstInt: k.Warp(hw.Int) * float64(c.dev.WarpSize),
+		backend.MetricInstSP:  k.Warp(hw.SP) * float64(c.dev.WarpSize),
 	}
 }
 
-// Collect gathers all Table I events for one kernel at the current
+// Collect gathers the Table I metrics of one kernel at the current
 // application clocks. As on real hardware, the counter registers cannot
-// hold every event at once, so the kernel is replayed once per pass and
-// each replay reads only its pass's events. Replaying perturbs nothing
-// about the kernel's power behaviour — events and power are measured in
-// separate runs (paper Section V-A).
-func (c *Collector) Collect(k *kernels.KernelSpec) (Counters, *sim.RunResult, error) {
+// hold every event at once, so the kernel is replayed once per pass —
+// replay launches it and returns the launch's active cycles — and each
+// replay reads only its pass's events; the events are then aggregated into
+// metrics. Replaying perturbs nothing about the kernel's power behaviour —
+// events and power are measured in separate runs (paper Section V-A).
+func (c *Collector) Collect(k *kernels.KernelSpec, replay func() (activeCycles float64, err error)) (backend.Metrics, error) {
 	counters := make(Counters)
-	var run *sim.RunResult
 	for _, pass := range c.passes {
-		r, err := c.dev.Execute(k) // one replay per pass
+		cycles, err := replay()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		run = r
-		ideal := c.idealFor(k, r.Exec.ActiveCycles)
+		ideal := c.idealFor(k, cycles)
 		for _, e := range pass {
 			m := c.metric[e.ID]
 			v := ideal[m] / float64(c.fanout[e.ID]) * c.sys[e.ID]
-			if m != MetricACycles {
+			if m != backend.MetricACycles {
 				v *= c.workloadBias(m, k)
 			}
 			v *= c.rng.Normal(1, readSigma)
@@ -188,24 +182,15 @@ func (c *Collector) Collect(k *kernels.KernelSpec) (Counters, *sim.RunResult, er
 			counters[e.ID] = v
 		}
 	}
-	return counters, run, nil
-}
-
-// CollectMetrics is Collect followed by aggregation into Table I metrics.
-func (c *Collector) CollectMetrics(k *kernels.KernelSpec) (map[Metric]float64, *sim.RunResult, error) {
-	counters, run, err := c.Collect(k)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[Metric]float64, len(AllMetrics))
-	for _, m := range AllMetrics {
+	out := make(backend.Metrics, len(backend.AllMetrics))
+	for _, m := range backend.AllMetrics {
 		v, err := c.table.Aggregate(counters, m)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out[m] = v
 	}
-	return out, run, nil
+	return out, nil
 }
 
 // FormatTable renders the event table like the paper's Table I.
@@ -215,7 +200,7 @@ func FormatTable(dev *hw.Device) (string, error) {
 		return "", err
 	}
 	out := fmt.Sprintf("Performance events for %s:\n", dev.Name)
-	for _, m := range AllMetrics {
+	for _, m := range backend.AllMetrics {
 		out += fmt.Sprintf("  %-18s", m)
 		for i, e := range t[m] {
 			if i > 0 {

@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
-	"gpupower/internal/sim"
+	"gpupower/internal/silicon"
+	"gpupower/internal/stats"
 )
 
 func collector(t *testing.T, name string) *Collector {
@@ -15,15 +17,30 @@ func collector(t *testing.T, name string) *Collector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(d, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCollector(s)
+	c, err := NewCollector(d, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// collect gathers k's metrics with every replay run on the ground truth at
+// the device's default clocks, and counts the replays.
+func collect(t *testing.T, c *Collector, k *kernels.KernelSpec) (backend.Metrics, int) {
+	t.Helper()
+	replays := 0
+	m, err := c.Collect(k, func() (float64, error) {
+		replays++
+		e, err := silicon.Simulate(c.dev, k, c.dev.DefaultConfig())
+		if err != nil {
+			return 0, err
+		}
+		return e.ActiveCycles, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, replays
 }
 
 func testKernel() *kernels.KernelSpec {
@@ -65,10 +82,10 @@ func TestTable1Structure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tbl[MetricL2Read]) != c.l2Events || len(tbl[MetricL2Write]) != c.l2Events {
+		if len(tbl[backend.MetricL2Read]) != c.l2Events || len(tbl[backend.MetricL2Write]) != c.l2Events {
 			t.Errorf("%s: L2 subpartition count wrong", c.device)
 		}
-		if got := tbl[MetricWarpsSPInt]; len(got) != c.spIntEvts {
+		if got := tbl[backend.MetricWarpsSPInt]; len(got) != c.spIntEvts {
 			t.Errorf("%s: SP/INT warp event count = %d, want %d", c.device, len(got), c.spIntEvts)
 		} else {
 			for i, suffix := range c.spInt {
@@ -81,26 +98,26 @@ func TestTable1Structure(t *testing.T) {
 				}
 			}
 		}
-		if tbl[MetricWarpsDP][0].ID != EventID(c.prefix*1000+c.dp) {
+		if tbl[backend.MetricWarpsDP][0].ID != EventID(c.prefix*1000+c.dp) {
 			t.Errorf("%s: DP event wrong", c.device)
 		}
-		if tbl[MetricWarpsSF][0].ID != EventID(c.prefix*1000+c.sf) {
+		if tbl[backend.MetricWarpsSF][0].ID != EventID(c.prefix*1000+c.sf) {
 			t.Errorf("%s: SF event wrong", c.device)
 		}
-		if tbl[MetricInstInt][0].ID != EventID(c.prefix*1000+c.iInt) {
+		if tbl[backend.MetricInstInt][0].ID != EventID(c.prefix*1000+c.iInt) {
 			t.Errorf("%s: InstINT event wrong", c.device)
 		}
-		if tbl[MetricInstSP][0].ID != EventID(c.prefix*1000+c.iSP) {
+		if tbl[backend.MetricInstSP][0].ID != EventID(c.prefix*1000+c.iSP) {
 			t.Errorf("%s: InstSP event wrong", c.device)
 		}
-		if tbl[MetricSharedLoad][0].Name != c.sharedLd {
-			t.Errorf("%s: shared load event %q, want %q", c.device, tbl[MetricSharedLoad][0].Name, c.sharedLd)
+		if tbl[backend.MetricSharedLoad][0].Name != c.sharedLd {
+			t.Errorf("%s: shared load event %q, want %q", c.device, tbl[backend.MetricSharedLoad][0].Name, c.sharedLd)
 		}
-		if tbl[MetricACycles][0].Name != "active_cycles" {
+		if tbl[backend.MetricACycles][0].Name != "active_cycles" {
 			t.Errorf("%s: ACycles event wrong", c.device)
 		}
 		// DRAM sectors: 2 subpartitions everywhere.
-		if len(tbl[MetricDRAMRead]) != 2 || len(tbl[MetricDRAMWrite]) != 2 {
+		if len(tbl[backend.MetricDRAMRead]) != 2 || len(tbl[backend.MetricDRAMWrite]) != 2 {
 			t.Errorf("%s: fb subpartition count wrong", c.device)
 		}
 	}
@@ -118,20 +135,20 @@ func TestAggregate(t *testing.T) {
 	dev := hw.GTXTitanX()
 	tbl, _ := Table(dev)
 	counters := Counters{}
-	for _, e := range tbl[MetricL2Read] {
+	for _, e := range tbl[backend.MetricL2Read] {
 		counters[e.ID] = 10
 	}
-	v, err := tbl.Aggregate(counters, MetricL2Read)
+	v, err := tbl.Aggregate(counters, backend.MetricL2Read)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 20 {
 		t.Fatalf("aggregate = %g, want 20", v)
 	}
-	if _, err := tbl.Aggregate(Counters{}, MetricL2Read); err == nil {
+	if _, err := tbl.Aggregate(Counters{}, backend.MetricL2Read); err == nil {
 		t.Fatal("missing counters accepted")
 	}
-	if _, err := tbl.Aggregate(counters, Metric("nope")); err == nil {
+	if _, err := tbl.Aggregate(counters, "nope"); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
 }
@@ -139,23 +156,20 @@ func TestAggregate(t *testing.T) {
 func TestCollectMetricsApproximateOnMaxwell(t *testing.T) {
 	c := collector(t, "GTX Titan X")
 	k := testKernel()
-	metrics, run, err := c.CollectMetrics(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run == nil || run.Exec == nil {
-		t.Fatal("missing run result")
+	metrics, replays := collect(t, c, k)
+	if replays != len(c.passes) {
+		t.Fatalf("%d replays for %d passes", replays, len(c.passes))
 	}
 	// On Maxwell the events are accurate within ~20%.
-	checks := map[Metric]float64{
-		MetricWarpsSPInt: k.Warp(hw.Int) + k.Warp(hw.SP),
-		MetricWarpsDP:    k.Warp(hw.DP),
-		MetricWarpsSF:    k.Warp(hw.SF),
-		MetricL2Read:     k.L2ReadBytes / 32,
-		MetricDRAMWrite:  k.DRAMWriteBytes / 32,
-		MetricSharedLoad: k.SharedLoadBytes / 128,
-		MetricInstInt:    k.Warp(hw.Int) * 32,
-		MetricInstSP:     k.Warp(hw.SP) * 32,
+	checks := map[string]float64{
+		backend.MetricWarpsSPInt: k.Warp(hw.Int) + k.Warp(hw.SP),
+		backend.MetricWarpsDP:    k.Warp(hw.DP),
+		backend.MetricWarpsSF:    k.Warp(hw.SF),
+		backend.MetricL2Read:     k.L2ReadBytes / 32,
+		backend.MetricDRAMWrite:  k.DRAMWriteBytes / 32,
+		backend.MetricSharedLoad: k.SharedLoadBytes / 128,
+		backend.MetricInstInt:    k.Warp(hw.Int) * 32,
+		backend.MetricInstSP:     k.Warp(hw.SP) * 32,
 	}
 	for m, want := range checks {
 		got := metrics[m]
@@ -163,7 +177,7 @@ func TestCollectMetricsApproximateOnMaxwell(t *testing.T) {
 			t.Errorf("%s = %g, want ~%g (rel err %.2f)", m, got, want, rel)
 		}
 	}
-	if metrics[MetricACycles] <= 0 {
+	if metrics[backend.MetricACycles] <= 0 {
 		t.Fatal("non-positive active cycles")
 	}
 }
@@ -172,15 +186,9 @@ func TestCollectDeterministicPerKernel(t *testing.T) {
 	// Re-profiling the same kernel on the same die gives near-identical
 	// counts (systematic error is per-die × per-workload, read noise tiny).
 	c := collector(t, "Tesla K40c")
-	m1, _, err := c.CollectMetrics(testKernel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := c.CollectMetrics(testKernel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range AllMetrics {
+	m1, _ := collect(t, c, testKernel())
+	m2, _ := collect(t, c, testKernel())
+	for _, m := range backend.AllMetrics {
 		if m1[m] == 0 && m2[m] == 0 {
 			continue
 		}
@@ -203,12 +211,9 @@ func TestKeplerEventsLessAccurate(t *testing.T) {
 			k := testKernel()
 			k.Name = k.Name + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
 			k.WarpInstrs[hw.SP] = float64(i) * 1e8
-			metrics, _, err := c.CollectMetrics(k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			metrics, _ := collect(t, c, k)
 			want := k.Warp(hw.Int) + k.Warp(hw.SP)
-			sum += math.Abs(metrics[MetricWarpsSPInt]-want) / want
+			sum += math.Abs(metrics[backend.MetricWarpsSPInt]-want) / want
 			n++
 		}
 		return sum / float64(n)
@@ -274,7 +279,7 @@ func TestPassesRespectCounterBudget(t *testing.T) {
 				eventPass[e.ID] = pi
 			}
 		}
-		for _, m := range AllMetrics {
+		for _, m := range backend.AllMetrics {
 			evs := table[m]
 			for _, e := range evs[1:] {
 				if eventPass[e.ID] != eventPass[evs[0].ID] {
@@ -307,11 +312,11 @@ func TestPassCountPerDevice(t *testing.T) {
 
 func TestCollectorPassCountMatchesSchedule(t *testing.T) {
 	c := collector(t, "GTX Titan X")
-	want, err := PassCount(c.dev.HW())
+	want, err := PassCount(c.dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PassCount() != want {
-		t.Fatalf("collector pass count %d, schedule %d", c.PassCount(), want)
+	if len(c.passes) != want {
+		t.Fatalf("collector pass count %d, schedule %d", len(c.passes), want)
 	}
 }

@@ -1,51 +1,24 @@
-// Package cupti is a façade over the simulated device mirroring the CUPTI
-// event-collection interface the paper uses. It reproduces the paper's
-// Table I: each device exposes a mix of publicly named events and
-// undisclosed numeric event IDs (the "W###" identifiers, whose prefixes are
-// 352321 for Titan Xp, 335544 for GTX Titan X and 318767 for Tesla K40c).
-// Event readings carry per-die systematic error — substantially larger on
-// the Kepler device, which is where the paper's higher K40c model error
-// comes from.
+// Package cupti is the simulator's event-collection layer, mirroring the
+// CUPTI interface the paper uses. It reproduces the paper's Table I: each
+// device exposes a mix of publicly named events and undisclosed numeric
+// event IDs (the "W###" identifiers, whose prefixes are 352321 for Titan
+// Xp, 335544 for GTX Titan X and 318767 for Tesla K40c), aggregated into
+// the metrics named in internal/backend. Event readings carry per-die
+// systematic error — substantially larger on the Kepler device, which is
+// where the paper's higher K40c model error comes from. The simulated
+// device (internal/sim) owns one Collector and drives its kernel replays;
+// this package does not know the device.
 package cupti
 
 import (
 	"fmt"
 
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 )
 
 // EventID identifies one hardware performance event.
 type EventID uint64
-
-// Metric names the model-level quantity a group of events measures
-// (left column of the paper's Table I).
-type Metric string
-
-// The metrics of Table I.
-const (
-	MetricACycles     Metric = "ACycles"
-	MetricL2Read      Metric = "ABandL2.read"
-	MetricL2Write     Metric = "ABandL2.write"
-	MetricSharedLoad  Metric = "ABandShared.load"
-	MetricSharedStore Metric = "ABandShared.store"
-	MetricDRAMRead    Metric = "ABandDRAM.read"
-	MetricDRAMWrite   Metric = "ABandDRAM.write"
-	MetricWarpsSPInt  Metric = "AWarpsSP/INT"
-	MetricWarpsDP     Metric = "AWarpsDP"
-	MetricWarpsSF     Metric = "AWarpsSF"
-	MetricInstInt     Metric = "InstINT"
-	MetricInstSP      Metric = "InstSP"
-)
-
-// AllMetrics lists every Table I metric in presentation order.
-var AllMetrics = []Metric{
-	MetricACycles,
-	MetricL2Read, MetricL2Write,
-	MetricSharedLoad, MetricSharedStore,
-	MetricDRAMRead, MetricDRAMWrite,
-	MetricWarpsSPInt, MetricWarpsDP, MetricWarpsSF,
-	MetricInstInt, MetricInstSP,
-}
 
 // Event is one collectable performance event. Disclosed events carry a
 // CUPTI name; undisclosed ones only a numeric ID (Name == "").
@@ -64,10 +37,11 @@ func (e Event) String() string {
 	return fmt.Sprintf("event_%d", e.ID)
 }
 
-// EventTable maps each metric to the events whose values must be aggregated
-// (summed) to produce it — the paper's "aggregation step" for metrics that
-// depend on multiple events (e.g. ABandDRAM uses 4).
-type EventTable map[Metric][]Event
+// EventTable maps each Table I metric (backend.AllMetrics) to the events
+// whose values must be aggregated (summed) to produce it — the paper's
+// "aggregation step" for metrics that depend on multiple events (e.g.
+// ABandDRAM uses 4).
+type EventTable map[string][]Event
 
 // undisclosed builds the numeric ID for a "W suffix" event of Table I:
 // prefix·1000 + suffix.
@@ -117,7 +91,7 @@ func buildTable(d deviceID) EventTable {
 	p := wPrefix(d)
 	t := EventTable{}
 
-	t[MetricACycles] = []Event{named(1, "active_cycles")}
+	t[backend.MetricACycles] = []Event{named(1, "active_cycles")}
 
 	// L2 sector queries: 2 subpartitions on the Titans, 4 on the K40c.
 	nL2 := 2
@@ -127,48 +101,48 @@ func buildTable(d deviceID) EventTable {
 		nL2 = 4
 	}
 	for i := 0; i < nL2; i++ {
-		t[MetricL2Read] = append(t[MetricL2Read], named(uint64(10+i), fmt.Sprintf(l2Name, i)))
-		t[MetricL2Write] = append(t[MetricL2Write], named(uint64(20+i), fmt.Sprintf(l2WName, i)))
+		t[backend.MetricL2Read] = append(t[backend.MetricL2Read], named(uint64(10+i), fmt.Sprintf(l2Name, i)))
+		t[backend.MetricL2Write] = append(t[backend.MetricL2Write], named(uint64(20+i), fmt.Sprintf(l2WName, i)))
 	}
 
 	// Shared-memory transactions; the Kepler events live under the L1 name.
 	if d == devK40c {
-		t[MetricSharedLoad] = []Event{named(30, "l1_shared_ld_transactions")}
-		t[MetricSharedStore] = []Event{named(31, "l1_shared_st_transactions")}
+		t[backend.MetricSharedLoad] = []Event{named(30, "l1_shared_ld_transactions")}
+		t[backend.MetricSharedStore] = []Event{named(31, "l1_shared_st_transactions")}
 	} else {
-		t[MetricSharedLoad] = []Event{named(30, "shared_ld_transactions")}
-		t[MetricSharedStore] = []Event{named(31, "shared_st_transactions")}
+		t[backend.MetricSharedLoad] = []Event{named(30, "shared_ld_transactions")}
+		t[backend.MetricSharedStore] = []Event{named(31, "shared_st_transactions")}
 	}
 
 	// Frame-buffer (DRAM) sectors: 2 subpartitions on all three devices.
 	for i := 0; i < 2; i++ {
-		t[MetricDRAMRead] = append(t[MetricDRAMRead], named(uint64(40+i), fmt.Sprintf("fb_subp%d_read_sectors", i)))
-		t[MetricDRAMWrite] = append(t[MetricDRAMWrite], named(uint64(50+i), fmt.Sprintf("fb_subp%d_write_sectors", i)))
+		t[backend.MetricDRAMRead] = append(t[backend.MetricDRAMRead], named(uint64(40+i), fmt.Sprintf("fb_subp%d_read_sectors", i)))
+		t[backend.MetricDRAMWrite] = append(t[backend.MetricDRAMWrite], named(uint64(50+i), fmt.Sprintf("fb_subp%d_write_sectors", i)))
 	}
 
 	// Undisclosed warp/instruction events (numeric IDs from Table I).
 	switch d {
 	case devTitanXp:
-		t[MetricWarpsSPInt] = []Event{undisclosed(p, 580), undisclosed(p, 581)}
-		t[MetricWarpsDP] = []Event{undisclosed(p, 584)}
-		t[MetricWarpsSF] = []Event{undisclosed(p, 560)}
-		t[MetricInstInt] = []Event{undisclosed(p, 831)}
-		t[MetricInstSP] = []Event{undisclosed(p, 829)}
+		t[backend.MetricWarpsSPInt] = []Event{undisclosed(p, 580), undisclosed(p, 581)}
+		t[backend.MetricWarpsDP] = []Event{undisclosed(p, 584)}
+		t[backend.MetricWarpsSF] = []Event{undisclosed(p, 560)}
+		t[backend.MetricInstInt] = []Event{undisclosed(p, 831)}
+		t[backend.MetricInstSP] = []Event{undisclosed(p, 829)}
 	case devTitanX:
-		t[MetricWarpsSPInt] = []Event{undisclosed(p, 361), undisclosed(p, 362)}
-		t[MetricWarpsDP] = []Event{undisclosed(p, 364)}
-		t[MetricWarpsSF] = []Event{undisclosed(p, 359)}
-		t[MetricInstInt] = []Event{undisclosed(p, 504)}
-		t[MetricInstSP] = []Event{undisclosed(p, 502)}
+		t[backend.MetricWarpsSPInt] = []Event{undisclosed(p, 361), undisclosed(p, 362)}
+		t[backend.MetricWarpsDP] = []Event{undisclosed(p, 364)}
+		t[backend.MetricWarpsSF] = []Event{undisclosed(p, 359)}
+		t[backend.MetricInstInt] = []Event{undisclosed(p, 504)}
+		t[backend.MetricInstSP] = []Event{undisclosed(p, 502)}
 	case devK40c:
-		t[MetricWarpsSPInt] = []Event{
+		t[backend.MetricWarpsSPInt] = []Event{
 			undisclosed(p, 131), undisclosed(p, 134),
 			undisclosed(p, 136), undisclosed(p, 137),
 		}
-		t[MetricWarpsDP] = []Event{undisclosed(p, 141)}
-		t[MetricWarpsSF] = []Event{undisclosed(p, 133)}
-		t[MetricInstInt] = []Event{undisclosed(p, 205)}
-		t[MetricInstSP] = []Event{undisclosed(p, 203)}
+		t[backend.MetricWarpsDP] = []Event{undisclosed(p, 141)}
+		t[backend.MetricWarpsSF] = []Event{undisclosed(p, 133)}
+		t[backend.MetricInstInt] = []Event{undisclosed(p, 205)}
+		t[backend.MetricInstSP] = []Event{undisclosed(p, 203)}
 	}
 	return t
 }
@@ -178,7 +152,7 @@ type Counters map[EventID]float64
 
 // Aggregate sums the counters of all events behind a metric — the paper's
 // aggregation step.
-func (t EventTable) Aggregate(c Counters, m Metric) (float64, error) {
+func (t EventTable) Aggregate(c Counters, m string) (float64, error) {
 	evs, ok := t[m]
 	if !ok {
 		return 0, fmt.Errorf("cupti: metric %q not in event table", m)

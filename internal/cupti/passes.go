@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 )
 
@@ -12,8 +13,8 @@ import (
 // partition the requested events into *passes* and replay the kernel once
 // per pass (the paper's methodology note that kernels are executed
 // repeatedly covers this too). The pass machinery below reproduces that
-// behaviour: Collect replays the kernel once per pass and each pass reads
-// only its own events.
+// behaviour: Collector.Collect replays the kernel once per pass and each
+// pass reads only its own events.
 
 // maxEventsPerPass returns how many events one replay can collect on an
 // architecture (Kepler's counter file is the smallest).
@@ -29,13 +30,13 @@ func maxEventsPerPass(a hw.Arch) int {
 // Passes partitions the event table into replay passes of at most
 // maxEventsPerPass(arch) events. Events backing the same metric are kept in
 // the same pass when they fit (they must be read coherently to aggregate),
-// and the partition is deterministic: metrics are scheduled in AllMetrics
-// order.
+// and the partition is deterministic: metrics are scheduled in
+// backend.AllMetrics order.
 func Passes(table EventTable, arch hw.Arch) ([][]Event, error) {
 	limit := maxEventsPerPass(arch)
 	var passes [][]Event
 	var current []Event
-	for _, m := range AllMetrics {
+	for _, m := range backend.AllMetrics {
 		evs := table[m]
 		if len(evs) > limit {
 			return nil, fmt.Errorf("cupti: metric %s needs %d events, above the %d-per-pass limit",
@@ -84,7 +85,7 @@ func validatePasses(passes [][]Event, table EventTable, arch hw.Arch) error {
 		}
 	}
 	var all []EventID
-	for _, m := range AllMetrics {
+	for _, m := range backend.AllMetrics {
 		for _, e := range table[m] {
 			all = append(all, e.ID)
 		}

@@ -66,7 +66,7 @@ func RunBreakdownTruth(ctx context.Context, deviceName string, seed uint64) (*Br
 			return nil, err
 		}
 		// Ground truth for the first (dominant) kernel.
-		if err := r.Sim.SetClocks(cfg.MemMHz, cfg.CoreMHz); err != nil {
+		if err := r.Sim.SetClocks(cfg); err != nil {
 			return nil, err
 		}
 		run, err := r.Sim.Execute(app.App.Kernels[0])

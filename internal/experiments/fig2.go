@@ -69,7 +69,7 @@ func RunFig2(ctx context.Context, seed uint64) (*Fig2Result, error) {
 		}
 		// Per-component utilization at the default configuration, from the
 		// ground-truth execution (the paper plots achieved/peak throughput).
-		if err := r.Sim.SetClocks(ref.MemMHz, ref.CoreMHz); err != nil {
+		if err := r.Sim.SetClocks(ref); err != nil {
 			return nil, err
 		}
 		run, err := r.Sim.Execute(app.App.Kernels[0])

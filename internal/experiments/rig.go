@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gpupower/internal/backend"
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/microbench"
@@ -24,12 +22,12 @@ import (
 const DefaultSeed uint64 = 42
 
 // Rig bundles everything an experiment needs on one device: the simulated
-// GPU (ground truth for validation-only paths), its measurement backend and
-// profiler, and (lazily) a fitted model with its training dataset.
+// GPU, its profiler, and (lazily) a fitted model with its training dataset.
 //
-// The measurement pipeline runs entirely through Backend — the rig keeps
-// Sim only for ground-truth comparisons (true breakdowns, third-party
-// voltage readouts) that a real device would not expose either.
+// The measurement pipeline runs entirely through the profiler, which sees
+// Sim only as a backend.Backend; experiments call Sim's own methods only
+// for ground-truth comparisons (true breakdowns, third-party voltage
+// readouts) that a real device would not expose either.
 //
 // Concurrency invariant: Dataset and Model are safe for concurrent use
 // (mutex-guarded, and fitting only reads the dataset), but the profiler
@@ -39,7 +37,6 @@ const DefaultSeed uint64 = 42
 type Rig struct {
 	Device   *hw.Device
 	Sim      *sim.Device
-	Backend  backend.Backend
 	Profiler *profiler.Profiler
 
 	mu      sync.Mutex
@@ -49,23 +46,15 @@ type Rig struct {
 
 // NewRig builds a rig for a catalog device.
 func NewRig(deviceName string, seed uint64) (*Rig, error) {
-	dev, err := hw.DeviceByName(deviceName)
+	s, err := sim.Open(deviceName, seed)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(dev, seed)
+	p, err := profiler.New(s)
 	if err != nil {
 		return nil, err
 	}
-	b, err := simbk.New(s)
-	if err != nil {
-		return nil, err
-	}
-	p, err := profiler.New(b)
-	if err != nil {
-		return nil, err
-	}
-	return &Rig{Device: dev, Sim: s, Backend: b, Profiler: p}, nil
+	return &Rig{Device: s.Device(), Sim: s, Profiler: p}, nil
 }
 
 // Dataset measures (or returns the cached) full training dataset: the 83

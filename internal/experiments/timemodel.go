@@ -49,7 +49,7 @@ func RunTimeModel(ctx context.Context, seed uint64) (*TimeModelResult, error) {
 	}
 
 	runSeconds := func(k *kernels.KernelSpec, cfg hw.Config) (float64, error) {
-		if err := r.Sim.SetClocks(cfg.MemMHz, cfg.CoreMHz); err != nil {
+		if err := r.Sim.SetClocks(cfg); err != nil {
 			return 0, err
 		}
 		run, err := r.Sim.Execute(k)

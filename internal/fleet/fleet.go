@@ -5,7 +5,7 @@
 //
 // The package composes the pieces the rest of the repository already
 // guarantees are safe to drive concurrently: each fleet member owns its own
-// simulated device, backend and profiler (measurements on one member are
+// simulated device (its backend) and profiler (measurements on one member are
 // single-goroutine, members are independent), and each pool worker owns one
 // reusable core.FitWorkspace, so back-to-back fits on a worker allocate no
 // workspace memory. Fits write disjoint result slots and reuse never
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"gpupower/internal/backend"
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/microbench"
@@ -65,23 +64,15 @@ type Member struct {
 
 // OpenMember opens the simulator-backed measurement stack for one spec.
 func OpenMember(spec Spec) (*Member, error) {
-	dev, err := hw.DeviceByName(spec.Device)
+	s, err := sim.Open(spec.Device, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(dev, spec.Seed)
+	p, err := profiler.New(s)
 	if err != nil {
 		return nil, err
 	}
-	b, err := simbk.New(s)
-	if err != nil {
-		return nil, err
-	}
-	p, err := profiler.New(b)
-	if err != nil {
-		return nil, err
-	}
-	return &Member{Spec: spec, Device: dev, Backend: b, Profiler: p}, nil
+	return &Member{Spec: spec, Device: s.Device(), Backend: s, Profiler: p}, nil
 }
 
 // OpenMembers opens every spec concurrently; slot i belongs to specs[i].

@@ -5,12 +5,12 @@ import (
 	"sync"
 	"testing"
 
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
+	"gpupower/internal/sim"
 	"gpupower/internal/suites"
 )
 
@@ -26,7 +26,7 @@ func rig(t *testing.T) (*profiler.Profiler, *core.Model) {
 	t.Helper()
 	rigOnce.Do(func() {
 		ctx := context.Background()
-		b, err := simbk.Open("GTX Titan X", 42)
+		b, err := sim.Open("GTX Titan X", 42)
 		if err != nil {
 			rigErr = err
 			return

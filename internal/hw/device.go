@@ -135,8 +135,11 @@ type Config struct {
 	MemMHz  float64
 }
 
+// String renders the configuration. %g prints a ladder frequency as the
+// integer it is and keeps an absurd request (1e308 MHz) short when an error
+// message echoes it.
 func (c Config) String() string {
-	return fmt.Sprintf("(fcore=%.0fMHz, fmem=%.0fMHz)", c.CoreMHz, c.MemMHz)
+	return fmt.Sprintf("(fcore=%gMHz, fmem=%gMHz)", c.CoreMHz, c.MemMHz)
 }
 
 // DefaultConfig returns the device's default (reference) configuration.

@@ -17,9 +17,9 @@
 //   - Deterministic errors. Per-item errors land in slot i and are joined
 //     in index order, so the reported error does not depend on which
 //     goroutine lost the race.
-//   - Sequential mode. SetSequential(true) (or GPUPOWER_SEQUENTIAL=1)
-//     forces every loop through the inline serial path — the
-//     reproducibility oracle the equivalence tests compare against.
+//   - Sequential mode. SetSequential(true) forces every loop through the
+//     inline serial path — the reproducibility oracle the equivalence
+//     tests compare against.
 //
 // Loops fall back to the inline path automatically when they would have a
 // single worker or the trip count is 1, so single-core machines
@@ -29,7 +29,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,12 +37,6 @@ import (
 // sequential forces the inline serial path when set. It is a process
 // global so reproducibility tests can pin the whole engine.
 var sequential atomic.Bool
-
-func init() {
-	if v := os.Getenv("GPUPOWER_SEQUENTIAL"); v == "1" || v == "true" {
-		sequential.Store(true)
-	}
-}
 
 // SetSequential toggles process-wide sequential mode and returns the
 // previous setting. Tests use it to obtain a serial oracle:

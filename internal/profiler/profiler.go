@@ -7,7 +7,8 @@
 //
 // The profiler is backend-agnostic: it drives any backend.Backend — the
 // in-process simulator, a recorded measurement trace, or (on real hardware)
-// an NVML/CUPTI exporter — and never peeks behind the measurement seam.
+// an NVML/CUPTI exporter — and never peeks behind the measurement seam: it
+// links none of the simulator's code.
 package profiler
 
 import (
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"gpupower/internal/backend"
-	"gpupower/internal/cupti"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/stats"
@@ -112,7 +112,7 @@ func (p *Profiler) MeasureAppPower(ctx context.Context, app *kernels.App, cfg hw
 // configuration.
 type KernelProfile struct {
 	Spec    *kernels.KernelSpec
-	Metrics map[cupti.Metric]float64
+	Metrics backend.Metrics
 	// Seconds is the single-launch execution time at the reference
 	// configuration, used as the weighting for multi-kernel applications.
 	Seconds float64
@@ -154,21 +154,11 @@ func (p *Profiler) ProfileApp(ctx context.Context, app *kernels.App, ref hw.Conf
 		}
 		prof.Kernels = append(prof.Kernels, KernelProfile{
 			Spec:    k,
-			Metrics: metricsByName(metrics),
+			Metrics: metrics,
 			Seconds: run.Seconds,
 		})
 	}
 	return prof, nil
-}
-
-// metricsByName converts the backend's string-keyed metrics into the CUPTI
-// façade's typed keys the model layers consume.
-func metricsByName(m backend.Metrics) map[cupti.Metric]float64 {
-	out := make(map[cupti.Metric]float64, len(m))
-	for name, v := range m {
-		out[cupti.Metric(name)] = v
-	}
-	return out
 }
 
 // MeasureIdlePower measures the awake-but-idle device at cfg.

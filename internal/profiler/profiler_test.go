@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"gpupower/internal/backend"
-	"gpupower/internal/backend/simbk"
-	"gpupower/internal/cupti"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
+	"gpupower/internal/sim"
 )
 
-func newProfiler(t *testing.T, name string) (*Profiler, *simbk.Backend) {
+func newProfiler(t *testing.T, name string) (*Profiler, *sim.Device) {
 	t.Helper()
-	b, err := simbk.Open(name, 42)
+	b, err := sim.Open(name, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestMeasureKernelPowerAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ground truth from the simulator (a real device would not expose it).
-	run, err := b.Sim().Execute(kern("k", 5e9))
+	run, err := b.Execute(kern("k", 5e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestProfileAppCollectsAllMetrics(t *testing.T) {
 	if prof.RefConfig != ref || len(prof.Kernels) != 1 {
 		t.Fatal("profile shape wrong")
 	}
-	for _, m := range cupti.AllMetrics {
+	for _, m := range backend.AllMetrics {
 		if _, ok := prof.Kernels[0].Metrics[m]; !ok {
 			t.Fatalf("metric %s missing", m)
 		}

@@ -16,14 +16,12 @@ package registry
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gpupower/internal/backend"
 	"gpupower/internal/core"
-	"gpupower/internal/fleet"
 	"gpupower/internal/hw"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
@@ -240,57 +238,4 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.entries)
-}
-
-// Build fits the whole fleet concurrently (fleet.FitAll: per-member
-// datasets, per-worker fit workspaces) and registers one entry per spec,
-// in spec order. Each entry keeps its member's backend and profiler, so
-// the registry can re-fit any device later without reopening anything.
-func Build(ctx context.Context, specs []fleet.Spec, opts *core.EstimatorOptions) (*Registry, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("registry: no specs")
-	}
-	if err := validateSpecs(specs); err != nil {
-		return nil, err
-	}
-	res, err := fleet.FitAll(ctx, specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	r := New()
-	now := time.Now()
-	perFit := res.Wall / time.Duration(len(res.Fits))
-	for _, f := range res.Fits {
-		meta := FitMeta{
-			Iterations: f.Model.Iterations,
-			Converged:  f.Model.Converged,
-			FitWall:    perFit,
-			FittedAt:   now,
-			Source:     "simulator",
-		}
-		e, err := NewEntry(f.Spec.String(), f.Member.Device, f.Member.Backend, f.Member.Profiler, f.Model, meta)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Add(e); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// validateSpecs rejects duplicate spec names before any measurement work
-// starts, so a doomed Build fails fast.
-func validateSpecs(specs []fleet.Spec) error {
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.String()
-	}
-	sort.Strings(names)
-	for i := 1; i < len(names); i++ {
-		if names[i] == names[i-1] {
-			return fmt.Errorf("registry: duplicate spec %q", names[i])
-		}
-	}
-	return nil
 }

@@ -197,52 +197,6 @@ func TestRegistryAddLookupOrder(t *testing.T) {
 	}
 }
 
-func TestBuildFitsFleetIntoEntries(t *testing.T) {
-	ctx := context.Background()
-	specs := []fleet.Spec{
-		{Device: "Tesla K40c", Seed: 3},
-		{Device: "Tesla K40c", Seed: 4},
-	}
-	r, err := Build(ctx, specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != len(specs) {
-		t.Fatalf("registry has %d entries, want %d", r.Len(), len(specs))
-	}
-	for i, spec := range specs {
-		e, ok := r.Lookup(spec.String())
-		if !ok {
-			t.Fatalf("missing entry %q", spec.String())
-		}
-		if r.Names()[i] != spec.String() {
-			t.Fatal("entries must be registered in spec order")
-		}
-		m, meta := e.Snapshot()
-		if m.DeviceName != spec.Device {
-			t.Fatalf("entry %q model fitted on %q", spec.String(), m.DeviceName)
-		}
-		if meta.Source != "simulator" {
-			t.Fatalf("source %q, want simulator", meta.Source)
-		}
-		if meta.Generation != 1 {
-			t.Fatalf("fleet-built entry numbered %d, want 1", meta.Generation)
-		}
-		// The entry keeps the measurement stack: refit must work.
-		if e.prof == nil || e.bk == nil {
-			t.Fatal("fleet-built entries must retain backend and profiler")
-		}
-	}
-
-	if _, err := Build(ctx, nil, nil); err == nil {
-		t.Fatal("empty specs must be rejected")
-	}
-	dupSpecs := []fleet.Spec{{Device: "Tesla K40c", Seed: 3}, {Device: "Tesla K40c", Seed: 3}}
-	if _, err := Build(ctx, dupSpecs, nil); err == nil {
-		t.Fatal("duplicate specs must be rejected before measurement")
-	}
-}
-
 func TestRefitSwapsNewModel(t *testing.T) {
 	ctx := context.Background()
 	member, err := fleet.OpenMember(fleet.Spec{Device: "Tesla K40c", Seed: 9})

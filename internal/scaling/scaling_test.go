@@ -6,12 +6,12 @@ import (
 	"sync"
 	"testing"
 
-	"gpupower/internal/backend/simbk"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
+	"gpupower/internal/sim"
 	"gpupower/internal/suites"
 )
 
@@ -25,7 +25,7 @@ var (
 func trained(t *testing.T) (*profiler.Profiler, *Classifier) {
 	t.Helper()
 	clsOnce.Do(func() {
-		b, err := simbk.Open("GTX Titan X", 42)
+		b, err := sim.Open("GTX Titan X", 42)
 		if err != nil {
 			clsErr = err
 			return

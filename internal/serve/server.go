@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -204,13 +205,13 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 
 // parseComponent maps a wire component name ("SP", "DRAM", ...) to the
 // hw.Component, case-insensitively.
-func parseComponent(name string) (hw.Component, error) {
+func parseComponent(name string) (hw.Component, bool) {
 	for _, c := range hw.Components {
 		if equalFold(name, c.String()) {
-			return c, nil
+			return c, true
 		}
 	}
-	return 0, fmt.Errorf("unknown component %q (want one of INT, SP, DP, SF, Shared, L2, DRAM)", name)
+	return 0, false
 }
 
 // equalFold is strings.EqualFold restricted to ASCII, which component
@@ -238,15 +239,31 @@ func equalFold(a, b string) bool {
 // Missing components read as zero; every rate must lie in [0, 1]
 // (core.Utilization.Validate). A larger one predicts power the device cannot
 // draw, and one near the float64 maximum overflows the prediction to +Inf,
-// which no JSON body can carry.
+// which no JSON body can carry. The wire map is walked in random order, so
+// each error names a culprit that does not depend on that order: the
+// lowest unknown name, else the first component (in hw.Components order)
+// given twice under different case.
 func parseUtilization(wire map[string]float64) (core.Utilization, error) {
 	u := make(core.Utilization, len(wire))
+	var seen, twice uint // bit c: component c given once, or more than once
+	unknown, anyUnknown := "", false
 	for name, v := range wire {
-		c, err := parseComponent(name)
-		if err != nil {
-			return nil, err
+		c, ok := parseComponent(name)
+		if !ok {
+			if !anyUnknown || name < unknown {
+				unknown, anyUnknown = name, true
+			}
+			continue
 		}
+		twice |= seen & (1 << c)
+		seen |= 1 << c
 		u[c] = v
+	}
+	if anyUnknown {
+		return nil, fmt.Errorf("unknown component %q (want one of INT, SP, DP, SF, Shared, L2, DRAM)", unknown)
+	}
+	if twice != 0 {
+		return nil, fmt.Errorf("component %v given more than once", hw.Component(bits.TrailingZeros(twice)))
 	}
 	if err := u.Validate(); err != nil {
 		return nil, err

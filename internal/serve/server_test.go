@@ -19,7 +19,7 @@ import (
 
 // testModel builds a synthetic fitted model for dev; beta0 perturbs the
 // core static coefficient so two models are distinguishable everywhere.
-func testModel(t *testing.T, dev *hw.Device, beta0 float64) *core.Model {
+func testModel(t testing.TB, dev *hw.Device, beta0 float64) *core.Model {
 	t.Helper()
 	m := &core.Model{
 		DeviceName: dev.Name,
@@ -52,17 +52,31 @@ func newTestServer(t *testing.T, opts *Options) (*httptest.Server, *registry.Ent
 // serveModel serves m, a Tesla K40c model, as the only entry.
 func serveModel(t *testing.T, m *core.Model, opts *Options) (*httptest.Server, *registry.Entry) {
 	t.Helper()
+	s, e := modelServer(t, m, opts)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return ts, e
+}
+
+// modelServer is the handler serveModel puts behind a socket.
+func modelServer(tb testing.TB, m *core.Model, opts *Options) (*Server, *registry.Entry) {
+	tb.Helper()
 	e, err := registry.NewEntry("Tesla K40c", hw.TeslaK40c(), nil, nil, m, registry.FitMeta{Source: "test"})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	reg := registry.New()
 	if err := reg.Add(e); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	ts := httptest.NewServer(New(reg, opts))
-	t.Cleanup(ts.Close)
-	return ts, e
+	return New(reg, opts), e
+}
+
+// post sends body to path straight through the handler, with no socket.
+func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
 }
 
 func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -226,30 +240,40 @@ func TestPredictExplicitConfigsBitwise(t *testing.T) {
 	}
 }
 
+// errorCases are requests every endpoint must refuse with a short JSON
+// error; the decoder fuzzers start from them too.
+var errorCases = []struct {
+	name string
+	path string // "" means /v1/predict
+	body string
+	code int
+}{
+	{"unknown device", "", `{"device":"nope","items":[{"utilization":{"SP":1}}]}`, 404},
+	{"missing device", "", `{"items":[{"utilization":{"SP":1}}]}`, 400},
+	{"empty items", "", `{"device":"Tesla K40c","items":[]}`, 400},
+	{"bad component", "", `{"device":"Tesla K40c","items":[{"utilization":{"GPU":1}}]}`, 400},
+	{"negative utilization", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":-1}}]}`, 400},
+	{"utilization above 1", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":50}}]}`, 400},
+	{"utilization overflowing the prediction", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1e308}}]}`, 400},
+	{"unknown field", "", `{"device":"Tesla K40c","items":[],"wat":1}`, 400},
+	{"off-ladder config", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1,"mem_mhz":1}]}]}`, 400},
+	{"config of 1e308 MHz", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1e308,"mem_mhz":3004}]}]}`, 400},
+	{"component given twice", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.1,"sp":0.9}}]}`, 400},
+	{"several unknown components", "", `{"device":"Tesla K40c","items":[{"utilization":{"FOO":0.1,"BAR":0.2,"BAZ":0.3}}]}`, 400},
+	{"malformed json", "", `{`, 400},
+	{"govern: utilization above 1", "/v1/govern", `{"device":"Tesla K40c","utilization":{"SP":50},"policy":"min-EDP"}`, 400},
+	{"govern: overflowing utilization", "/v1/govern", `{"device":"Tesla K40c","utilization":{"SP":1e308},"policy":"min-EDP"}`, 400},
+	{"breakdown: utilization above 1", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":50}}`, 400},
+	{"breakdown: overflowing utilization", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":1e308,"DP":1e308}}`, 400},
+	{"breakdown: config of 1e308 MHz", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":1},"config":{"core_mhz":1e308,"mem_mhz":3004}}`, 400},
+}
+
 func TestPredictErrors(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
-	cases := []struct {
-		name string
-		path string // "" means /v1/predict
-		body string
-		code int
-	}{
-		{"unknown device", "", `{"device":"nope","items":[{"utilization":{"SP":1}}]}`, 404},
-		{"missing device", "", `{"items":[{"utilization":{"SP":1}}]}`, 400},
-		{"empty items", "", `{"device":"Tesla K40c","items":[]}`, 400},
-		{"bad component", "", `{"device":"Tesla K40c","items":[{"utilization":{"GPU":1}}]}`, 400},
-		{"negative utilization", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":-1}}]}`, 400},
-		{"utilization above 1", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":50}}]}`, 400},
-		{"utilization overflowing the prediction", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1e308}}]}`, 400},
-		{"unknown field", "", `{"device":"Tesla K40c","items":[],"wat":1}`, 400},
-		{"off-ladder config", "", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1,"mem_mhz":1}]}]}`, 400},
-		{"malformed json", "", `{`, 400},
-		{"govern: utilization above 1", "/v1/govern", `{"device":"Tesla K40c","utilization":{"SP":50},"policy":"min-EDP"}`, 400},
-		{"govern: overflowing utilization", "/v1/govern", `{"device":"Tesla K40c","utilization":{"SP":1e308},"policy":"min-EDP"}`, 400},
-		{"breakdown: utilization above 1", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":50}}`, 400},
-		{"breakdown: overflowing utilization", "/v1/breakdown", `{"device":"Tesla K40c","utilization":{"SP":1e308,"DP":1e308}}`, 400},
-	}
-	for _, tc := range cases {
+	// An error echoes at most a name or a configuration back; none needs
+	// more than this.
+	const maxErrorBody = 200
+	for _, tc := range errorCases {
 		path := tc.path
 		if path == "" {
 			path = "/v1/predict"
@@ -261,6 +285,9 @@ func TestPredictErrors(t *testing.T) {
 		if !json.Valid(data) {
 			t.Errorf("%s: body is not valid JSON: %q", tc.name, data)
 			continue
+		}
+		if len(data) > maxErrorBody {
+			t.Errorf("%s: %d-byte error body: %s", tc.name, len(data), data)
 		}
 		var e struct {
 			Error string `json:"error"`
@@ -277,6 +304,39 @@ func TestPredictErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/predict = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestUtilizationAnswersDeterministic sends bodies whose utilization has
+// no single reading — a component under two cases, several unknown names —
+// to every endpoint: the decoded map's iteration order is random, and each
+// endpoint must still give one answer, naming the same culprit.
+func TestUtilizationAnswersDeterministic(t *testing.T) {
+	s, _ := modelServer(t, testModel(t, hw.TeslaK40c(), 40), nil)
+	for _, tc := range []struct{ util, culprit string }{
+		{`{"SP":0.1,"sp":0.9}`, "component SP given more than once"},
+		{`{"FOO":0.1,"BAR":0.2,"BAZ":0.3}`, `unknown component \"BAR\"`},
+	} {
+		for _, req := range []struct{ path, body string }{
+			{"/v1/predict", `{"device":"Tesla K40c","items":[{"utilization":` + tc.util + `,"configs":[{"core_mhz":875,"mem_mhz":3004}]}]}`},
+			{"/v1/govern", `{"device":"Tesla K40c","utilization":` + tc.util + `,"policy":"min-EDP"}`},
+			{"/v1/breakdown", `{"device":"Tesla K40c","utilization":` + tc.util + `}`},
+		} {
+			answers := map[string]int{}
+			for i := 0; i < 200; i++ {
+				rec := post(s, req.path, req.body)
+				answers[fmt.Sprintf("%d %s", rec.Code, rec.Body)]++
+			}
+			if len(answers) != 1 {
+				t.Errorf("%s %s: %d distinct answers to 200 requests: %v", req.path, tc.util, len(answers), answers)
+				continue
+			}
+			for a := range answers {
+				if !strings.HasPrefix(a, "400 ") || !strings.Contains(a, tc.culprit) {
+					t.Errorf("%s %s: answer %q, want a 400 saying %s", req.path, tc.util, a, tc.culprit)
+				}
+			}
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //
 //   Tesla K40c — mild voltage scaling over its narrow 4-level ladder; its
 //   larger model error in the paper comes from event inaccuracy, which the
-//   cupti façade reproduces.
+//   simulator's cupti layer reproduces.
 //
 // The kappa/unmodelled terms keep the truth outside the fitted model family.
 

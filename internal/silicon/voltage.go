@@ -3,11 +3,12 @@
 // coefficients and the roofline timing model that converts a kernel
 // descriptor into execution time and component utilizations.
 //
-// Nothing in this package is visible to the model estimator. The estimator
-// observes the die only through the measurement backend (the simulated
-// power sensor and clocks, and the cupti façade), exactly as the paper
-// observes real silicon through NVML and CUPTI — the reproduction is meaningful because the
-// fitted model must *recover* what this package hides.
+// Nothing in this package is visible to the model estimator, which does not
+// even link it. The estimator observes the die only through the
+// measurement backend (sim.Device: the simulated power sensor and clocks,
+// and its cupti event collector), exactly as the paper observes real
+// silicon through NVML and CUPTI — the reproduction is meaningful because
+// the fitted model must *recover* what this package hides.
 package silicon
 
 import (

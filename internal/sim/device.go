@@ -1,9 +1,11 @@
 // Package sim provides the runtime simulation of a GPU device: clock state,
 // kernel execution (via the silicon ground truth), TDP-driven frequency
-// capping and the on-board power sensor with its refresh-period sampling
-// pathology. backend/simbk adapts a sim.Device (with the cupti façade for
-// events) to the measurement backend; the profiler and model estimator
-// only ever talk to that backend.
+// capping, the on-board power sensor with its refresh-period sampling
+// pathology, and CUPTI-style event collection (via cupti, whose kernel
+// replays the device runs). A Device is a backend.Backend: the profiler and
+// the model estimator only ever see it through that interface. The
+// ground-truth methods (Execute, TrueBreakdown, ThirdPartyVoltageReadout)
+// serve validation code that holds the *Device itself.
 package sim
 
 import (
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"gpupower/internal/backend"
+	"gpupower/internal/cupti"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/silicon"
@@ -22,17 +25,22 @@ import (
 type Device struct {
 	hwd   *hw.Device
 	truth *silicon.Truth
+	col   *cupti.Collector
 
 	mu  sync.Mutex
 	cfg hw.Config
 
 	sensorRNG *stats.RNG
-	eventRNG  *stats.RNG
 }
+
+var _ backend.Backend = (*Device)(nil)
 
 // New creates a simulated device for the given hardware description, with
 // all stochastic behaviour (sensor noise, event error) derived from seed.
 func New(dev *hw.Device, seed uint64) (*Device, error) {
+	if dev == nil {
+		return nil, fmt.Errorf("sim: nil device")
+	}
 	if err := dev.Validate(); err != nil {
 		return nil, err
 	}
@@ -40,31 +48,48 @@ func New(dev *hw.Device, seed uint64) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The fork order fixes each seed's streams: the sensor's first, then
+	// the event collector's.
 	root := stats.NewRNG(seed)
+	sensorRNG := root.Fork(1)
+	col, err := cupti.NewCollector(dev, root.Fork(2))
+	if err != nil {
+		return nil, err
+	}
 	return &Device{
 		hwd:       dev,
 		truth:     truth,
+		col:       col,
 		cfg:       dev.DefaultConfig(),
-		sensorRNG: root.Fork(1),
-		eventRNG:  root.Fork(2),
+		sensorRNG: sensorRNG,
 	}, nil
 }
 
-// HW returns the static hardware description.
-func (d *Device) HW() *hw.Device { return d.hwd }
+// Open creates the simulated die of a catalog device (hw.DeviceByName),
+// seeded.
+func Open(deviceName string, seed uint64) (*Device, error) {
+	dev, err := hw.DeviceByName(deviceName)
+	if err != nil {
+		return nil, err
+	}
+	return New(dev, seed)
+}
+
+// Device returns the static hardware description.
+func (d *Device) Device() *hw.Device { return d.hwd }
 
 // SetClocks requests application clocks, like nvmlDeviceSetApplicationsClocks.
 // Both frequencies must be supported ladder levels.
-func (d *Device) SetClocks(memMHz, coreMHz float64) error {
-	if !d.hwd.SupportsMemFreq(memMHz) {
-		return fmt.Errorf("sim: %s: memory clock %g MHz: %w", d.hwd.Name, memMHz, backend.ErrUnsupportedClock)
+func (d *Device) SetClocks(cfg hw.Config) error {
+	if !d.hwd.SupportsMemFreq(cfg.MemMHz) {
+		return fmt.Errorf("sim: %s: memory clock %g MHz: %w", d.hwd.Name, cfg.MemMHz, backend.ErrUnsupportedClock)
 	}
-	if !d.hwd.SupportsCoreFreq(coreMHz) {
-		return fmt.Errorf("sim: %s: core clock %g MHz: %w", d.hwd.Name, coreMHz, backend.ErrUnsupportedClock)
+	if !d.hwd.SupportsCoreFreq(cfg.CoreMHz) {
+		return fmt.Errorf("sim: %s: core clock %g MHz: %w", d.hwd.Name, cfg.CoreMHz, backend.ErrUnsupportedClock)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.cfg = hw.Config{CoreMHz: coreMHz, MemMHz: memMHz}
+	d.cfg = cfg
 	return nil
 }
 
@@ -89,6 +114,12 @@ type RunResult struct {
 	// TruePower is the exact average power of the run, W. Measurement code
 	// must not use it; it exists for validation and tests.
 	TruePower float64
+}
+
+// info projects the ground-truth record onto the portable measurement
+// summary.
+func (r *RunResult) info() backend.RunInfo {
+	return backend.RunInfo{Requested: r.Requested, Effective: r.Effective, Seconds: r.Exec.Seconds()}
 }
 
 // Execute runs one kernel launch at the current clocks, applying the TDP
@@ -143,14 +174,14 @@ func (d *Device) IdlePower() float64 {
 	return d.truth.IdlePower(d.Clocks())
 }
 
-// SampledAveragePower emulates the paper's measurement loop (Section V-A):
+// SampledKernelPower emulates the paper's measurement loop (Section V-A):
 // the kernel is launched repeatedly until at least minWall of wall time has
-// elapsed, while the NVML sensor refreshes every HW().SensorRefresh; the
+// elapsed, while the NVML sensor refreshes every Device().SensorRefresh; the
 // returned value is the average of all sensor readings, each carrying
 // sensor noise. When the total run is shorter than one refresh window the
 // reading mixes in pre-launch idle power — the misleading-measurement
 // pathology that motivates the ≥1 s repetition rule.
-func (d *Device) SampledAveragePower(k *kernels.KernelSpec, minWall time.Duration) (float64, backend.RunInfo, error) {
+func (d *Device) SampledKernelPower(k *kernels.KernelSpec, minWall time.Duration) (float64, backend.RunInfo, error) {
 	run, p, err := d.launch(k)
 	if err != nil {
 		return 0, backend.RunInfo{}, err
@@ -190,7 +221,7 @@ func (d *Device) noisyReading(p float64) float64 {
 }
 
 // SampledIdlePower measures the idle device the same way as a kernel run.
-func (d *Device) SampledIdlePower(minWall time.Duration) float64 {
+func (d *Device) SampledIdlePower(minWall time.Duration) (float64, error) {
 	refresh := d.hwd.SensorRefresh.Seconds()
 	idle := d.IdlePower()
 	n := int(minWall.Seconds() / refresh)
@@ -201,11 +232,37 @@ func (d *Device) SampledIdlePower(minWall time.Duration) float64 {
 	for i := 0; i < n; i++ {
 		sum += d.noisyReading(idle)
 	}
-	return sum / float64(n)
+	return sum / float64(n), nil
 }
 
-// EventRNG exposes the event-noise stream for the cupti façade.
-func (d *Device) EventRNG() *stats.RNG { return d.eventRNG }
+// CollectMetrics gathers the Table I metrics for one kernel at the current
+// clocks: one Execute per pass of the die's counter schedule. The run
+// summary is the last replay's.
+func (d *Device) CollectMetrics(k *kernels.KernelSpec) (backend.Metrics, backend.RunInfo, error) {
+	var last *RunResult
+	m, err := d.col.Collect(k, func() (float64, error) {
+		run, err := d.Execute(k)
+		if err != nil {
+			return 0, err
+		}
+		last = run
+		return run.Exec.ActiveCycles, nil
+	})
+	if err != nil {
+		return nil, backend.RunInfo{}, err
+	}
+	return m, last.info(), nil
+}
+
+// RunKernel executes one launch at the current clocks and integrates its
+// energy (the quantity behind NVML's total-energy counter).
+func (d *Device) RunKernel(k *kernels.KernelSpec) (float64, backend.RunInfo, error) {
+	run, err := d.Execute(k)
+	if err != nil {
+		return 0, backend.RunInfo{}, err
+	}
+	return run.TruePower * run.Exec.Seconds(), run.info(), nil
+}
 
 // ThirdPartyVoltageReadout plays the role of NVIDIA Inspector / MSI
 // Afterburner in the paper's Fig. 6 validation: it reports the true core

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"gpupower/internal/backend"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
@@ -50,25 +52,130 @@ func hotKernel() *kernels.KernelSpec {
 	}
 }
 
+func TestOpenValidation(t *testing.T) {
+	if _, err := Open("GTX 480", 1); err == nil {
+		t.Fatal("unknown device accepted")
+	}
+	if _, err := New(nil, 1); err == nil {
+		t.Fatal("nil device accepted")
+	}
+}
+
+// TestDeviceAndEscapeHatches checks the hardware description and the
+// validation-only ground-truth methods that sit beside backend.Backend.
+func TestDeviceAndEscapeHatches(t *testing.T) {
+	s, err := Open("GTX Titan X", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Device().Name != "GTX Titan X" {
+		t.Fatalf("device = %q", s.Device().Name)
+	}
+	run, err := s.Execute(lightKernel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TrueBreakdown(run.Exec).Total(); math.Abs(got-run.TruePower) > 1e-9*run.TruePower {
+		t.Fatalf("true breakdown totals %g W, run's true power %g W", got, run.TruePower)
+	}
+	if v := s.ThirdPartyVoltageReadout(s.Device().DefaultConfig().CoreMHz); v <= 0 {
+		t.Fatalf("voltage readout %g", v)
+	}
+}
+
 func TestSetClocksValidation(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
-	if err := s.SetClocks(3505, 975); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 975, MemMHz: 3505}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Clocks(); got.CoreMHz != 975 || got.MemMHz != 3505 {
 		t.Fatalf("Clocks = %v", got)
 	}
-	if err := s.SetClocks(1234, 975); err == nil {
-		t.Fatal("bad memory clock accepted")
+	if err := s.SetClocks(hw.Config{CoreMHz: 975, MemMHz: 1234}); !errors.Is(err, backend.ErrUnsupportedClock) {
+		t.Fatalf("bad memory clock: err = %v, want wrapped ErrUnsupportedClock", err)
 	}
-	if err := s.SetClocks(3505, 1000); err == nil {
-		t.Fatal("bad core clock accepted")
+	if err := s.SetClocks(hw.Config{CoreMHz: 1000, MemMHz: 3505}); !errors.Is(err, backend.ErrUnsupportedClock) {
+		t.Fatalf("bad core clock: err = %v, want wrapped ErrUnsupportedClock", err)
+	}
+}
+
+func TestClockControl(t *testing.T) {
+	s, err := Open("GTX Titan X", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hw.Config{CoreMHz: 595, MemMHz: 810}
+	if err := s.SetClocks(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Clocks(); got != cfg {
+		t.Fatalf("Clocks() = %v, want %v", got, cfg)
+	}
+	err = s.SetClocks(hw.Config{CoreMHz: 123, MemMHz: 810})
+	if !errors.Is(err, backend.ErrUnsupportedClock) {
+		t.Fatalf("off-ladder: err = %v, want wrapped ErrUnsupportedClock", err)
+	}
+	if got := s.Clocks(); got != cfg {
+		t.Fatalf("rejected request changed the clocks to %v", got)
+	}
+}
+
+// TestMeasurementSurface drives every backend.Backend method once.
+func TestMeasurementSurface(t *testing.T) {
+	var b backend.Backend = newSim(t, "GTX Titan X")
+	k := lightKernel()
+	dflt := b.Device().DefaultConfig()
+	if err := b.SetClocks(dflt); err != nil {
+		t.Fatal(err)
+	}
+
+	w, info, err := b.SampledKernelPower(k, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w <= 0 || w > b.Device().TDP {
+		t.Fatalf("power %g W outside (0, TDP]", w)
+	}
+	if info.Requested != dflt || info.Seconds <= 0 {
+		t.Fatalf("run summary %+v implausible", info)
+	}
+
+	idle, err := b.SampledIdlePower(50 * time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle <= 0 || idle >= w {
+		t.Fatalf("idle %g W vs loaded %g W", idle, w)
+	}
+
+	metrics, info, err := b.CollectMetrics(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range backend.AllMetrics {
+		if _, ok := metrics[m]; !ok {
+			t.Fatalf("metric %s missing", m)
+		}
+	}
+	if info.Requested != dflt || info.Seconds <= 0 {
+		t.Fatalf("collection run summary %+v implausible", info)
+	}
+
+	e, info, err := b.RunKernel(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e <= 0 || info.Seconds <= 0 {
+		t.Fatalf("energy %g J over %g s", e, info.Seconds)
+	}
+	if p := e / info.Seconds; p <= 0 || p > b.Device().TDP {
+		t.Fatalf("implied power %g W outside (0, TDP]", p)
 	}
 }
 
 func TestExecuteAtRequestedClocks(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
-	if err := s.SetClocks(810, 595); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 595, MemMHz: 810}); err != nil {
 		t.Fatal(err)
 	}
 	run, err := s.Execute(lightKernel())
@@ -78,7 +185,7 @@ func TestExecuteAtRequestedClocks(t *testing.T) {
 	if run.Requested != run.Effective {
 		t.Fatalf("light kernel throttled: %v -> %v", run.Requested, run.Effective)
 	}
-	if run.TruePower <= 0 || run.TruePower > s.HW().TDP {
+	if run.TruePower <= 0 || run.TruePower > s.Device().TDP {
 		t.Fatalf("power %g out of range", run.TruePower)
 	}
 }
@@ -101,7 +208,7 @@ func shortHotKernel() *kernels.KernelSpec {
 
 func TestTDPGovernorCapsCoreClock(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
-	if err := s.SetClocks(4005, 1164); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 1164, MemMHz: 4005}); err != nil {
 		t.Fatal(err)
 	}
 	run, err := s.Execute(hotKernel())
@@ -112,15 +219,15 @@ func TestTDPGovernorCapsCoreClock(t *testing.T) {
 		t.Fatalf("hot kernel not throttled (requested %v, effective %v, power %.0f W)",
 			run.Requested, run.Effective, run.TruePower)
 	}
-	if run.TruePower > s.HW().TDP {
+	if run.TruePower > s.Device().TDP {
 		t.Fatalf("post-throttle power %.0f W exceeds TDP", run.TruePower)
 	}
 	// The governor must pick the closest feasible level: one step up would
 	// violate TDP again.
-	ladder := s.HW().CoreFreqs
+	ladder := s.Device().CoreFreqs
 	for i, f := range ladder {
 		if f == run.Effective.CoreMHz && i+1 < len(ladder) && ladder[i+1] < run.Requested.CoreMHz {
-			if err := s.SetClocks(4005, ladder[i+1]); err != nil {
+			if err := s.SetClocks(hw.Config{CoreMHz: ladder[i+1], MemMHz: 4005}); err != nil {
 				t.Fatal(err)
 			}
 			up, err := s.Execute(hotKernel())
@@ -173,14 +280,14 @@ func TestSampledAveragePowerRunMatchesExecute(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
 	for _, k := range []*kernels.KernelSpec{lightKernel(), hotKernel()} {
 		for _, cfg := range []hw.Config{{CoreMHz: 975, MemMHz: 3505}, {CoreMHz: 1164, MemMHz: 4005}} {
-			if err := s.SetClocks(cfg.MemMHz, cfg.CoreMHz); err != nil {
+			if err := s.SetClocks(cfg); err != nil {
 				t.Fatal(err)
 			}
 			run, err := s.Execute(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, got, err := s.SampledAveragePower(k, time.Second)
+			_, got, err := s.SampledKernelPower(k, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,11 +302,11 @@ func TestSampledAveragePowerRunMatchesExecute(t *testing.T) {
 func TestSampledAveragePowerAllocFree(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
 	k := hotKernel()
-	if err := s.SetClocks(4005, 1164); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 1164, MemMHz: 4005}); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(50, func() {
-		if _, _, err := s.SampledAveragePower(k, time.Second); err != nil {
+		if _, _, err := s.SampledKernelPower(k, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -210,14 +317,14 @@ func TestSampledAveragePowerAllocFree(t *testing.T) {
 
 func TestSampledAveragePowerLongRun(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
-	if err := s.SetClocks(3505, 975); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 975, MemMHz: 3505}); err != nil {
 		t.Fatal(err)
 	}
 	run, err := s.Execute(lightKernel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := s.SampledAveragePower(lightKernel(), time.Second)
+	p, _, err := s.SampledKernelPower(lightKernel(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +337,7 @@ func TestShortRunMixesIdlePower(t *testing.T) {
 	// A run shorter than the sensor refresh must bias the reading toward
 	// idle power — the pathology that forces the ≥1 s repetition rule.
 	s := newSim(t, "GTX Titan X") // 100 ms refresh
-	if err := s.SetClocks(3505, 975); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 975, MemMHz: 3505}); err != nil {
 		t.Fatal(err)
 	}
 	k := lightKernel()
@@ -242,7 +349,7 @@ func TestShortRunMixesIdlePower(t *testing.T) {
 		t.Skipf("test kernel too slow (%v) for the short-run scenario", run.Exec.Time)
 	}
 	idle := s.IdlePower()
-	p, _, err := s.SampledAveragePower(k, 0) // no repetition: single launch
+	p, _, err := s.SampledKernelPower(k, 0) // no repetition: single launch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +366,7 @@ func TestShortRunMixesIdlePower(t *testing.T) {
 // around the launch, not the requested ones.
 func TestShortThrottledRunMixesEffectiveIdle(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
-	if err := s.SetClocks(4005, 1164); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 1164, MemMHz: 4005}); err != nil {
 		t.Fatal(err)
 	}
 	k := shortHotKernel()
@@ -267,11 +374,11 @@ func TestShortThrottledRunMixesEffectiveIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refresh := s.HW().SensorRefresh.Seconds()
+	refresh := s.Device().SensorRefresh.Seconds()
 	if run.Effective == run.Requested || run.Exec.Seconds() >= refresh {
 		t.Fatalf("not a short throttled run: %v → %v for %v s", run.Requested, run.Effective, run.Exec.Seconds())
 	}
-	got, _, err := s.SampledAveragePower(k, 0)
+	got, _, err := s.SampledKernelPower(k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +395,14 @@ func TestShortThrottledRunMixesEffectiveIdle(t *testing.T) {
 
 func TestSampledIdlePower(t *testing.T) {
 	s := newSim(t, "GTX Titan X")
-	if err := s.SetClocks(3505, 975); err != nil {
+	if err := s.SetClocks(hw.Config{CoreMHz: 975, MemMHz: 3505}); err != nil {
 		t.Fatal(err)
 	}
 	idle := s.IdlePower()
-	meas := s.SampledIdlePower(time.Second)
+	meas, err := s.SampledIdlePower(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(meas-idle)/idle > 0.05 {
 		t.Fatalf("sampled idle %g vs true %g", meas, idle)
 	}
@@ -301,11 +411,11 @@ func TestSampledIdlePower(t *testing.T) {
 func TestDeterminismAcrossInstances(t *testing.T) {
 	a := newSim(t, "Tesla K40c")
 	b := newSim(t, "Tesla K40c")
-	pa, _, err := a.SampledAveragePower(lightKernel(), time.Second)
+	pa, _, err := a.SampledKernelPower(lightKernel(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, _, err := b.SampledAveragePower(lightKernel(), time.Second)
+	pb, _, err := b.SampledKernelPower(lightKernel(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +434,8 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, _, _ := a.SampledAveragePower(lightKernel(), 100*time.Millisecond)
-	pb, _, _ := b.SampledAveragePower(lightKernel(), 100*time.Millisecond)
+	pa, _, _ := a.SampledKernelPower(lightKernel(), 100*time.Millisecond)
+	pb, _, _ := b.SampledKernelPower(lightKernel(), 100*time.Millisecond)
 	if pa == pb {
 		t.Fatal("different seeds produced identical noisy readings")
 	}
@@ -348,7 +458,10 @@ func TestMilliwattQuantization(t *testing.T) {
 	// A single sensor reading (one refresh window) is quantized to mW,
 	// like real NVML.
 	s := newSim(t, "GTX Titan X")
-	p := s.SampledIdlePower(s.HW().SensorRefresh)
+	p, err := s.SampledIdlePower(s.Device().SensorRefresh)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p != math.Trunc(p*1000)/1000 {
 		t.Fatalf("reading %v not quantized to mW", p)
 	}

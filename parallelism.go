@@ -10,10 +10,11 @@ import "gpupower/internal/parallel"
 // index order, so results are bitwise-identical to sequential execution —
 // SetSequential trades latency, never accuracy.
 
-// SetSequential forces every engine loop onto the inline serial path
-// (also enabled by GPUPOWER_SEQUENTIAL=1 in the environment). It returns
-// the previous setting; reproducibility harnesses use it as the oracle
-// that parallel runs are compared against.
+// SetSequential forces every engine loop onto the inline serial path. It
+// returns the previous setting; reproducibility harnesses use it as the
+// oracle that parallel runs are compared against. A process run with
+// GOMAXPROCS=1 takes the same path, since every loop is then one worker
+// wide.
 func SetSequential(on bool) (previous bool) { return parallel.SetSequential(on) }
 
 // EngineWorkers reports the effective worker-pool size the engine would

@@ -2,6 +2,7 @@ package gpupower
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -40,9 +41,38 @@ func FleetSpecs(n int, baseSeed uint64) []FleetSpec {
 // BuildModelRegistry measures and fits every spec concurrently (per-member
 // datasets, per-worker fit workspaces) and returns a registry with one
 // entry per spec, in spec order. Fits are bitwise-identical to individual
-// FitPowerModel calls on the same specs.
+// FitPowerModel calls on the same specs. Each entry keeps its member's
+// backend and profiler, so any device can be re-fitted later without
+// reopening anything. Duplicate specs are rejected before any measurement.
 func BuildModelRegistry(ctx context.Context, specs []FleetSpec, opts *EstimatorOptions) (*ModelRegistry, error) {
-	return registry.Build(ctx, specs, opts)
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("gpupower: no fleet specs")
+	}
+	seen := make(map[string]bool, len(specs))
+	for _, s := range specs {
+		if seen[s.String()] {
+			return nil, fmt.Errorf("gpupower: duplicate fleet spec %q", s)
+		}
+		seen[s.String()] = true
+	}
+	res, err := fleet.FitAll(ctx, specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := registry.New()
+	now := time.Now()
+	perFit := res.Wall / time.Duration(len(res.Fits))
+	for _, f := range res.Fits {
+		meta := registry.FitMeta{FitWall: perFit, FittedAt: now, Source: "simulator"}
+		e, err := registry.NewEntry(f.Spec.String(), f.Member.Device, f.Member.Backend, f.Member.Profiler, f.Model, meta)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.Add(e); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // NewModelRegistry returns an empty registry, for processes that assemble
