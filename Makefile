@@ -10,28 +10,24 @@
 #                  that touches a parallel loop.
 #   make cover   — full suite with coverage; prints the total and writes
 #                  cover.out (the baseline figure lives in EXPERIMENTS.md)
-#   make lint    — invariant gate: runs the in-tree gpowerlint analyzers
-#                  (internal/lint; see DESIGN.md §9) over ./... and fails on
-#                  any diagnostic. Mechanically enforces determinism
-#                  (maporder, floateq), cancellation (ctxflow), error
-#                  taxonomy (senterr), pooled-spawn (gonosync),
-#                  disjoint-write (disjointwrite, with method-mutation
-#                  summaries), unit-provenance (unitflow, with cross-package
-#                  facts), snapshot-coherence (atomicsnap), serving-boundary
-#                  (httpbound), wire-unit (dtounits) and live-suppression
-#                  (unusedignore) invariants; must stay green on every PR.
-#                  Serial: packages run one after another in path order,
-#                  over standard-library export data located by one
-#                  `go list` (DESIGN.md §9.13), and the target prints its
-#                  wall time so a loader slowdown is visible in CI logs.
-#   make alloccheck — zero-allocation gate: interprocedurally proves every
-#                  //gpower:noalloc-annotated hot-path root allocation-free
-#                  (internal/alloccheck; see DESIGN.md §13), failing on any
-#                  unproven root, reasonless //gpower:allocs hatch, or dead
-#                  hatch. Runs the prover twice (cold, then warm over the OS
-#                  page cache), requires byte-identical reports, and prints
-#                  both wall times like `make lint`; must stay green on
-#                  every PR.
+#   make lint    — static-analysis gate: gpowerlint (internal/lint; see
+#                  DESIGN.md §9) runs the in-tree analyzers over ./... and
+#                  then proves every //gpower:noalloc hot-path root
+#                  allocation-free (internal/alloccheck; DESIGN.md §13),
+#                  failing on any diagnostic, unproven root, or bad
+#                  //lint:ignore or //gpower: directive. The analyzers
+#                  mechanically enforce determinism (maporder, floateq),
+#                  cancellation (ctxflow), error taxonomy (senterr),
+#                  pooled-spawn (gonosync), disjoint-write (disjointwrite,
+#                  with method-mutation summaries), unit-provenance
+#                  (unitflow, with cross-package facts), snapshot-coherence
+#                  (atomicsnap), serving-boundary (httpbound), wire-unit
+#                  (dtounits) and live-suppression (unusedignore)
+#                  invariants. The target builds gpowerlint once, runs it
+#                  twice, requires byte-identical reports (stdout and
+#                  stderr, the proof's summary line included) and prints
+#                  both wall times so a loader or prover slowdown is
+#                  visible in CI logs; must stay green on every PR.
 #   make bench   — regenerate the paper's tables/figures (EXPERIMENTS.md numbers)
 #   make bench-json — run the perf-relevant Go benchmarks of the root package
 #                  and internal/cluster and consolidate their rows (ns/op,
@@ -61,7 +57,7 @@ BENCHTIME ?= 1x
 BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate|FleetFit|ServePredict|ClusterEvents)$$'
 BENCH_JSON_PACKAGES = ./ ./internal/cluster/
 
-.PHONY: all build test verify vet race lint alloccheck cover bench bench-json clean
+.PHONY: all build test verify vet race lint cover bench bench-json clean
 
 all: verify
 
@@ -79,31 +75,23 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
+# lint builds gpowerlint once and runs it twice over the same tree. The two
+# reports must be byte-identical (the determinism contract of DESIGN.md
+# §9.13 and §13); both wall times are printed.
 lint:
-	@start=$$(date +%s%N); \
-	$(GO) run ./cmd/gpowerlint ./...; status=$$?; \
-	end=$$(date +%s%N); \
-	echo "lint: $$(( (end - start) / 1000000 )) ms wall"; \
-	exit $$status
-
-# alloccheck proves the annotated hot paths twice with a prebuilt binary:
-# a cold run and a warm run over the same tree. The reports must be
-# byte-identical (the determinism contract of DESIGN.md §13); both wall
-# times are printed so a prover slowdown is visible in CI logs.
-alloccheck:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/alloccheck" ./cmd/alloccheck || exit $$?; \
+	$(GO) build -o "$$tmp/gpowerlint" ./cmd/gpowerlint || exit $$?; \
 	start=$$(date +%s%N); \
-	"$$tmp/alloccheck" ./... > "$$tmp/cold.txt"; status=$$?; \
-	end=$$(date +%s%N); cold=$$(( (end - start) / 1000000 )); \
-	cat "$$tmp/cold.txt"; \
+	"$$tmp/gpowerlint" ./... > "$$tmp/first.txt" 2>&1; status=$$?; \
+	end=$$(date +%s%N); first=$$(( (end - start) / 1000000 )); \
+	cat "$$tmp/first.txt"; \
 	[ $$status -eq 0 ] || exit $$status; \
 	start=$$(date +%s%N); \
-	"$$tmp/alloccheck" ./... > "$$tmp/warm.txt"; status=$$?; \
-	end=$$(date +%s%N); warm=$$(( (end - start) / 1000000 )); \
+	"$$tmp/gpowerlint" ./... > "$$tmp/second.txt" 2>&1; status=$$?; \
+	end=$$(date +%s%N); second=$$(( (end - start) / 1000000 )); \
+	cmp -s "$$tmp/first.txt" "$$tmp/second.txt" || { echo "lint: the two runs' reports differ:"; diff "$$tmp/first.txt" "$$tmp/second.txt"; exit 1; }; \
 	[ $$status -eq 0 ] || exit $$status; \
-	cmp -s "$$tmp/cold.txt" "$$tmp/warm.txt" || { echo "alloccheck: cold and warm reports differ"; exit 1; }; \
-	echo "alloccheck: cold $$cold ms, warm $$warm ms"
+	echo "lint: first run $$first ms, second run $$second ms wall"
 
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
@@ -112,8 +100,8 @@ cover:
 bench:
 	$(GO) test -bench . -benchmem ./
 
-# bench-json builds benchjson rather than `go run`ning it, like alloccheck
-# above: only a built binary carries the commit it stamps into the artifact.
+# bench-json builds benchjson rather than `go run`ning it: only a built
+# binary carries the commit it stamps into the artifact.
 # The raw rows are written to a file and then printed, not piped through
 # tee, so a failing benchmark fails the target with go test's status.
 bench-json:

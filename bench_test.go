@@ -430,7 +430,11 @@ func BenchmarkEstimate(b *testing.B) {
 // fits are in flight at once even on narrow hosts.
 func BenchmarkFleetFit(b *testing.B) {
 	specs := fleet.Registry(9, benchSeed)
-	datasets, err := fleet.BuildDatasets(context.Background(), specs)
+	members, err := fleet.OpenMembers(specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	datasets, err := fleet.BuildMemberDatasets(context.Background(), members)
 	if err != nil {
 		b.Fatal(err)
 	}

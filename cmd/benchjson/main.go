@@ -221,7 +221,7 @@ func main() {
 	doc := Document{Env: environment(), Benchmarks: entries}
 
 	acStart := time.Now()
-	acRes, _, err := alloccheck.CheckModule(".")
+	acRes, err := alloccheck.CheckModule(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %v\n", err)
 		os.Exit(1)
@@ -252,7 +252,7 @@ func main() {
 	// leaves the numbers on disk for diagnosis.
 	failed := false
 	if !acRes.Clean() {
-		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %d of %d roots unproven, %d directive errors (run `go run ./cmd/alloccheck ./...` for the findings)\n",
+		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %d of %d roots unproven, %d directive errors (run `go run ./cmd/gpowerlint ./...` for the findings)\n",
 			acRes.RootCount-acRes.ProvenCount, acRes.RootCount, len(acRes.DirectiveErrors))
 		failed = true
 	}

@@ -8,8 +8,8 @@
 //	gpowerbench -csv out/             # export every data series as CSV
 //
 // Experiments: table1 table2 table3 fig2 fig5 fig6 fig7 fig8 fig9 fig10
-// convergence baselines ablation breakdown governor cluster robustness
-// sources all.
+// convergence baselines ablation breakdown governor timemodel cluster
+// robustness sources all.
 //
 // Ctrl-C (SIGINT/SIGTERM) cancels the in-flight experiment at its next
 // measurement or fitting checkpoint and exits with an error.

@@ -1,7 +1,8 @@
-// Command gpowerlint is the repository's domain-invariant static-analysis
-// gate (DESIGN.md §9). It type-checks the module from source — standard
-// library only, no toolchain or x/tools dependency — and runs every
-// registered analyzer:
+// Command gpowerlint is the repository's static-analysis gate (DESIGN.md
+// §9 and §13). It type-checks the module from source — standard library
+// only, no toolchain or x/tools dependency — runs every registered
+// analyzer, then proves the //gpower:noalloc hot paths allocation-free
+// over the same loaded packages:
 //
 //	maporder      range-over-map bodies with order-sensitive effects
 //	floateq       exact floating-point == / !=
@@ -18,9 +19,13 @@
 //	              minting context.Background() instead of r.Context()
 //	dtounits      DTO field names whose unit disagrees with their json tag
 //	unusedignore  //lint:ignore directives that suppressed zero diagnostics
+//	alloccheck    the interprocedural zero-allocation proof; it runs
+//	              whatever -analyzers selects
 //
 // Packages are analyzed one after another in path order, and diagnostics
 // are sorted into a total order, so output is byte-identical across runs.
+// Directive errors and the proof's one-line summary (roots, proven, escape
+// hatches, functions walked) go to stderr.
 //
 // Usage:
 //
@@ -31,9 +36,10 @@
 //	-tests=false      skip _test.go files
 //	-list             print the analyzers and their invariants, then exit
 //
-// Exit status: 0 clean, 1 diagnostics (or bad //lint:ignore directives)
-// found, 2 usage, load or type-check failure. Findings are suppressed
-// site-by-site with `//lint:ignore <analyzer> <reason>`.
+// Exit status: 0 clean, 1 diagnostics or bad //lint:ignore or //gpower:
+// directives found, 2 usage, load or type-check failure. Analyzer findings
+// are suppressed site-by-site with `//lint:ignore <analyzer> <reason>`,
+// allocation findings with `//gpower:allocs <reason>`.
 package main
 
 import (
@@ -42,6 +48,7 @@ import (
 	"os"
 	"strings"
 
+	"gpupower/internal/alloccheck"
 	"gpupower/internal/lint"
 	"gpupower/internal/lint/analyzers"
 )
@@ -66,6 +73,7 @@ func main() {
 		for _, a := range as {
 			fmt.Printf("%s\n    %s\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n    "))
 		}
+		fmt.Printf("%s\n    %s\n", alloccheck.Name, strings.ReplaceAll(alloccheck.Doc, "\n", "\n    "))
 		return
 	}
 
@@ -100,6 +108,8 @@ func main() {
 	}
 
 	cwd, _ := os.Getwd()
+	proof := alloccheck.NewChecker(pkgs).Check()
+	res.Add(proof.Report(cwd))
 	if *jsonOut {
 		if err := lint.WriteJSON(os.Stdout, cwd, res.Diagnostics); err != nil {
 			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
@@ -112,6 +122,8 @@ func main() {
 	for _, derr := range res.DirectiveErrors {
 		fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", derr)
 	}
+	fmt.Fprintf(os.Stderr, "alloccheck: %d roots, %d proven, %d escape hatches, %d functions walked\n",
+		proof.RootCount, proof.ProvenCount, proof.HatchesUsed, proof.FunctionsWalked)
 	if len(res.Diagnostics) > 0 || len(res.DirectiveErrors) > 0 {
 		os.Exit(1)
 	}

@@ -9,13 +9,14 @@
 // sites (cold miss paths, warm-up growth) with //lint:ignore discipline:
 // reasons are mandatory and dead hatches are errors.
 //
-// alloccheck is a standalone verification subsystem, not a gpowerlint
-// analyzer; it reuses the memoized lint.Loader purely as a type-checking
-// library. Verdicts are memoized per function with cycle
-// tainting (a verdict computed through an in-progress call chain is never
-// cached), so output is deterministic and position-ordered regardless of
-// which root is proven first. DESIGN.md §13 documents the semantics and
-// the known conservatisms.
+// The proof is whole-module rather than per-package, so it is not a
+// lint.Analyzer: gpowerlint runs it over the packages it has already
+// loaded for its analyzers and reports it through Result.Report. Verdicts
+// are memoized per function with cycle tainting (a verdict computed
+// through an in-progress call chain is never cached), so output is
+// deterministic and position-ordered regardless of which root is proven
+// first. DESIGN.md §13 documents the semantics and the known
+// conservatisms.
 package alloccheck
 
 import (
@@ -54,34 +55,34 @@ type verdict struct {
 // RootResult is the proof outcome for one annotated root.
 type RootResult struct {
 	// Func is the fully-qualified function name.
-	Func string `json:"func"`
+	Func string
 	// Pos is the declaration position.
-	Pos token.Position `json:"-"`
+	Pos token.Position
 	// Proven reports whether the whole reachable call graph is
 	// allocation-free (after escape hatches).
-	Proven bool `json:"proven"`
+	Proven bool
 	// Findings are the surviving allocation sites, position-ordered.
-	Findings []Site `json:"findings"`
+	Findings []Site
 	// Functions counts the distinct in-module functions walked from this
 	// root (including the root itself).
-	Functions int `json:"functions"`
+	Functions int
 	// Hatches counts the distinct escape hatches applied in this root's
 	// call graph.
-	Hatches int `json:"hatches"`
+	Hatches int
 }
 
 // Result is one whole-module proof run.
 type Result struct {
 	// Roots holds every annotated function, position-ordered.
-	Roots []RootResult `json:"roots"`
+	Roots []RootResult
 	// DirectiveErrors are malformed or dead annotations; any entry fails
 	// the run even when all roots prove clean.
-	DirectiveErrors []string `json:"directive_errors"`
+	DirectiveErrors []string
 	// Summary totals.
-	RootCount       int `json:"root_count"`
-	ProvenCount     int `json:"proven_count"`
-	HatchesUsed     int `json:"hatches_used"`
-	FunctionsWalked int `json:"functions_walked"`
+	RootCount       int
+	ProvenCount     int
+	HatchesUsed     int
+	FunctionsWalked int
 }
 
 // Clean reports whether the run proves every root with no directive errors.
@@ -91,9 +92,8 @@ func (r *Result) Clean() bool {
 
 // Checker proves //gpower:noalloc roots over a loaded module.
 type Checker struct {
-	pkgs    []*lint.Package
-	units   map[*types.Func]*funcUnit
-	modPath string
+	pkgs  []*lint.Package
+	units map[*types.Func]*funcUnit
 
 	hatches map[string][]*hatch // file -> hatches, for site suppression
 	dirErrs []string
@@ -106,21 +106,12 @@ type Checker struct {
 	walkedByPos []*funcUnit              // units with computed locals, discovery order
 }
 
-// NewChecker loads every package reachable from the loader's root and
-// builds the function index. The loader decides whether _test.go files
-// participate (Loader.Tests).
-func NewChecker(loader *lint.Loader, modPath string) (*Checker, error) {
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		return nil, fmt.Errorf("alloccheck: load: %w", err)
-	}
-	return newChecker(pkgs, modPath), nil
-}
-
-func newChecker(pkgs []*lint.Package, modPath string) *Checker {
+// NewChecker builds the function index over loaded packages: the whole
+// module, as Loader.LoadAll returns it, for a proof of every root. Whether
+// _test.go files take part is the loader's choice (Loader.Tests).
+func NewChecker(pkgs []*lint.Package) *Checker {
 	c := &Checker{
 		pkgs:       pkgs,
-		modPath:    modPath,
 		units:      make(map[*types.Func]*funcUnit),
 		hatches:    make(map[string][]*hatch),
 		locals:     make(map[*types.Func]*localInfo),
@@ -240,7 +231,7 @@ func (c *Checker) local(fn *types.Func) *localInfo {
 		return li
 	}
 	u := c.units[fn]
-	rawSites, calls := collectSites(u.pkg, c.units, c.modPath, u.decl)
+	rawSites, calls := collectSites(u.pkg, c.units, u.decl)
 	li := &localInfo{}
 	seenDir := make(map[*hatch]bool)
 	for i := range rawSites {

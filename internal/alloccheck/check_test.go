@@ -12,12 +12,11 @@ import (
 // runFixture proves a GOPATH-style fixture tree under testdata/<name>/src.
 func runFixture(t *testing.T, fixture string) *alloccheck.Result {
 	t.Helper()
-	loader := lint.NewLoader(filepath.Join("testdata", fixture, "src"), "")
-	c, err := alloccheck.NewChecker(loader, "")
+	pkgs, err := lint.NewLoader(filepath.Join("testdata", fixture, "src"), "").LoadAll()
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixture, err)
 	}
-	return c.Check()
+	return alloccheck.NewChecker(pkgs).Check()
 }
 
 func rootsByName(t *testing.T, res *alloccheck.Result) map[string]*alloccheck.RootResult {

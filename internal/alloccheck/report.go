@@ -1,289 +1,44 @@
 package alloccheck
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"io"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"gpupower/internal/lint"
 )
 
-// relPath shortens name relative to base for readable, stable reports
-// (mirrors internal/lint/report.go).
-func relPath(base, name string) string {
-	if base == "" {
-		return name
-	}
-	if rel, err := filepath.Rel(base, name); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
-	}
-	return name
-}
+// Name is the analyzer name proof findings carry in gpowerlint's reports.
+const Name = "alloccheck"
 
-func fmtPos(base string, pos token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", relPath(base, pos.Filename), pos.Line, pos.Column)
-}
+// Doc describes the proof in `gpowerlint -list`.
+const Doc = `every //gpower:noalloc function is proven allocation-free over its whole
+static call graph, with unresolvable calls assumed to allocate; a finding
+names the site and its propagation chain down to the direct allocation.
+//gpower:allocs <reason> is the only escape hatch (//lint:ignore does not
+reach the proof), and a reasonless, dead or misplaced directive is an
+error. Runs on every gpowerlint run, whatever -analyzers selects.`
 
-// renderSite prints one finding, following the propagation chain of
-// call-shaped sites down to the direct allocation that seeds it.
-func renderSite(base string, s *Site) string {
-	msg := s.Msg
-	for u, depth := s.Underlying, 0; u != nil && depth < 8; u, depth = u.Underlying, depth+1 {
-		msg += fmt.Sprintf(" <- %s: [%s] %s", fmtPos(base, u.Pos), u.Cat, u.Msg)
-	}
-	return msg
-}
-
-// WriteText renders a proof run in the position-ordered text form: one line
-// per root, indented findings for unproven roots, directive errors, and a
-// closing summary. Two runs over the same tree are byte-identical.
-func (r *Result) WriteText(w io.Writer, base string) error {
+// Report converts a proof run into gpowerlint's currency: one diagnostic
+// named alloccheck per finding of an unproven root, at the finding's site,
+// and one error per malformed, misplaced or dead directive. A finding's
+// message follows a call-shaped site hop by hop down to the direct
+// allocation that seeds it, with the hops' paths relative to base.
+func (r *Result) Report(base string) ([]lint.Diagnostic, []error) {
+	var diags []lint.Diagnostic
 	for i := range r.Roots {
 		rr := &r.Roots[i]
-		if rr.Proven {
-			if _, err := fmt.Fprintf(w, "%s: root %s: proven allocation-free (%d functions, %d escape hatches)\n",
-				fmtPos(base, rr.Pos), rr.Func, rr.Functions, rr.Hatches); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s: root %s: NOT proven (%d findings)\n",
-			fmtPos(base, rr.Pos), rr.Func, len(rr.Findings)); err != nil {
-			return err
-		}
 		for j := range rr.Findings {
 			s := &rr.Findings[j]
-			if _, err := fmt.Fprintf(w, "\t%s: [%s] %s\n",
-				fmtPos(base, s.Pos), s.Cat, renderSite(base, s)); err != nil {
-				return err
+			msg := fmt.Sprintf("root %s is not proven allocation-free: [%s] %s", rr.Func, s.Cat, s.Msg)
+			for u, depth := s.Underlying, 0; u != nil && depth < 8; u, depth = u.Underlying, depth+1 {
+				msg += fmt.Sprintf(" <- %s:%d:%d: [%s] %s", lint.RelPath(base, u.Pos.Filename), u.Pos.Line, u.Pos.Column, u.Cat, u.Msg)
 			}
+			diags = append(diags, lint.Diagnostic{Analyzer: Name, Pos: s.Pos, Message: msg})
 		}
 	}
-	for _, e := range r.DirectiveErrors {
-		if _, err := fmt.Fprintf(w, "%s\n", relErrPath(base, e)); err != nil {
-			return err
-		}
+	errs := make([]error, len(r.DirectiveErrors))
+	for i, e := range r.DirectiveErrors {
+		errs[i] = errors.New(e)
 	}
-	_, err := fmt.Fprintf(w, "alloccheck: %d roots, %d proven, %d escape hatches, %d functions walked\n",
-		r.RootCount, r.ProvenCount, r.HatchesUsed, r.FunctionsWalked)
-	return err
-}
-
-// relErrPath rewrites the leading file path of a "file:line:col: msg"
-// directive error relative to base.
-func relErrPath(base, e string) string {
-	i := strings.Index(e, ": ")
-	if i < 0 {
-		return e
-	}
-	head, tail := e[:i], e[i:]
-	parts := strings.Split(head, ":")
-	if len(parts) < 3 {
-		return e
-	}
-	file := strings.Join(parts[:len(parts)-2], ":")
-	return relPath(base, file) + ":" + parts[len(parts)-2] + ":" + parts[len(parts)-1] + tail
-}
-
-// jsonPosition is the wire form of a token.Position.
-type jsonPosition struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-}
-
-type jsonSite struct {
-	Category     Category     `json:"category"`
-	Pos          jsonPosition `json:"pos"`
-	Message      string       `json:"message"`
-	Callee       string       `json:"callee,omitempty"`
-	Underlying   *jsonSite    `json:"underlying,omitempty"`
-	SuppressedBy string       `json:"suppressed_by,omitempty"`
-}
-
-type jsonRoot struct {
-	Func      string       `json:"func"`
-	Pos       jsonPosition `json:"pos"`
-	Proven    bool         `json:"proven"`
-	Functions int          `json:"functions"`
-	Hatches   int          `json:"hatches"`
-	Findings  []jsonSite   `json:"findings"`
-}
-
-type jsonResult struct {
-	Roots           []jsonRoot `json:"roots"`
-	DirectiveErrors []string   `json:"directive_errors"`
-	RootCount       int        `json:"root_count"`
-	ProvenCount     int        `json:"proven_count"`
-	HatchesUsed     int        `json:"hatches_used"`
-	FunctionsWalked int        `json:"functions_walked"`
-}
-
-func toJSONPos(base string, pos token.Position) jsonPosition {
-	return jsonPosition{File: relPath(base, pos.Filename), Line: pos.Line, Column: pos.Column}
-}
-
-func toJSONSite(base string, s *Site, depth int) jsonSite {
-	js := jsonSite{
-		Category:     s.Cat,
-		Pos:          toJSONPos(base, s.Pos),
-		Message:      s.Msg,
-		Callee:       s.Callee,
-		SuppressedBy: s.SuppressedBy,
-	}
-	if s.Underlying != nil && depth < 8 {
-		u := toJSONSite(base, s.Underlying, depth+1)
-		js.Underlying = &u
-	}
-	return js
-}
-
-// WriteJSON renders a proof run as indented JSON with paths relative to
-// base; slices are always present (never null) so consumers can index
-// without nil checks.
-func (r *Result) WriteJSON(w io.Writer, base string) error {
-	out := jsonResult{
-		Roots:           []jsonRoot{},
-		DirectiveErrors: r.DirectiveErrors,
-		RootCount:       r.RootCount,
-		ProvenCount:     r.ProvenCount,
-		HatchesUsed:     r.HatchesUsed,
-		FunctionsWalked: r.FunctionsWalked,
-	}
-	if out.DirectiveErrors == nil {
-		out.DirectiveErrors = []string{}
-	} else {
-		rel := make([]string, len(out.DirectiveErrors))
-		for i, e := range out.DirectiveErrors {
-			rel[i] = relErrPath(base, e)
-		}
-		out.DirectiveErrors = rel
-	}
-	for i := range r.Roots {
-		rr := &r.Roots[i]
-		jr := jsonRoot{
-			Func:      rr.Func,
-			Pos:       toJSONPos(base, rr.Pos),
-			Proven:    rr.Proven,
-			Functions: rr.Functions,
-			Hatches:   rr.Hatches,
-			Findings:  []jsonSite{},
-		}
-		for j := range rr.Findings {
-			jr.Findings = append(jr.Findings, toJSONSite(base, &rr.Findings[j], 0))
-		}
-		out.Roots = append(out.Roots, jr)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// FuncInventory is the raw allocation-site inventory of one function for
-// the observability -report mode: every direct site, including the ones an
-// escape hatch suppresses (marked with the hatch's reason).
-type FuncInventory struct {
-	Func  string         `json:"func"`
-	Pos   token.Position `json:"-"`
-	Sites []Site         `json:"sites"`
-}
-
-// Inventory lists the direct allocation sites of every function in the
-// given packages, position-ordered. In-module static calls are omitted
-// (prove mode walks them); dynamic, external, and formatting calls appear
-// as the conservative sites they are.
-func Inventory(pkgs []*lint.Package, modPath string) []FuncInventory {
-	c := newChecker(pkgs, modPath)
-	var out []FuncInventory
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				raw, _ := collectSites(pkg, c.units, modPath, fd)
-				for i := range raw {
-					if h := c.coveringHatch(raw[i].Pos); h != nil {
-						raw[i].SuppressedBy = h.reason
-					}
-				}
-				if len(raw) == 0 {
-					continue
-				}
-				sortSites(raw)
-				out = append(out, FuncInventory{
-					Func:  fn.FullName(),
-					Pos:   pkg.Fset.Position(fd.Pos()),
-					Sites: raw,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
-// WriteInventoryText renders a -report inventory.
-func WriteInventoryText(w io.Writer, base string, inv []FuncInventory) error {
-	total, suppressed := 0, 0
-	for i := range inv {
-		fi := &inv[i]
-		if _, err := fmt.Fprintf(w, "%s: func %s: %d sites\n",
-			fmtPos(base, fi.Pos), fi.Func, len(fi.Sites)); err != nil {
-			return err
-		}
-		for j := range fi.Sites {
-			s := &fi.Sites[j]
-			total++
-			note := ""
-			if s.SuppressedBy != "" {
-				suppressed++
-				note = fmt.Sprintf(" (suppressed: %s)", s.SuppressedBy)
-			}
-			if _, err := fmt.Fprintf(w, "\t%s: [%s] %s%s\n",
-				fmtPos(base, s.Pos), s.Cat, s.Msg, note); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintf(w, "alloccheck -report: %d functions with sites, %d sites (%d suppressed)\n",
-		len(inv), total, suppressed)
-	return err
-}
-
-// WriteInventoryJSON renders a -report inventory as indented JSON.
-func WriteInventoryJSON(w io.Writer, base string, inv []FuncInventory) error {
-	type jsonFunc struct {
-		Func  string       `json:"func"`
-		Pos   jsonPosition `json:"pos"`
-		Sites []jsonSite   `json:"sites"`
-	}
-	out := []jsonFunc{}
-	for i := range inv {
-		jf := jsonFunc{Func: inv[i].Func, Pos: toJSONPos(base, inv[i].Pos), Sites: []jsonSite{}}
-		for j := range inv[i].Sites {
-			jf.Sites = append(jf.Sites, toJSONSite(base, &inv[i].Sites[j], 0))
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return diags, errs
 }

@@ -69,18 +69,15 @@ const (
 
 // Site is one potential allocation, resolved to a stable source position.
 type Site struct {
-	Cat Category       `json:"category"`
-	Pos token.Position `json:"-"`
-	Msg string         `json:"message"`
+	Cat Category
+	Pos token.Position
+	Msg string
 	// Callee is the full name of the called function for call-shaped
 	// categories (call, extern-call, dynamic-call, format).
-	Callee string `json:"callee,omitempty"`
+	Callee string
 	// Underlying is the callee's first finding for CatCall sites: the
 	// next hop of the propagation chain down to a direct site.
-	Underlying *Site `json:"underlying,omitempty"`
-	// SuppressedBy carries the escape-hatch reason in inventory (-report)
-	// mode; sites with a suppression never appear in prove-mode findings.
-	SuppressedBy string `json:"suppressed_by,omitempty"`
+	Underlying *Site
 }
 
 // callEdge is a statically-resolved call to an in-module function.
@@ -94,10 +91,9 @@ type callEdge struct {
 // siteCollector walks one function body and records direct allocation
 // sites plus in-module call edges. It is purely intra-procedural.
 type siteCollector struct {
-	pkg     *lint.Package
-	units   map[*types.Func]*funcUnit
-	modPath string
-	decl    *ast.FuncDecl
+	pkg   *lint.Package
+	units map[*types.Func]*funcUnit
+	decl  *ast.FuncDecl
 
 	sites []Site
 	calls []callEdge
@@ -107,11 +103,10 @@ type siteCollector struct {
 	callFuns map[ast.Expr]bool
 }
 
-func collectSites(pkg *lint.Package, units map[*types.Func]*funcUnit, modPath string, decl *ast.FuncDecl) ([]Site, []callEdge) {
+func collectSites(pkg *lint.Package, units map[*types.Func]*funcUnit, decl *ast.FuncDecl) ([]Site, []callEdge) {
 	sc := &siteCollector{
 		pkg:      pkg,
 		units:    units,
-		modPath:  modPath,
 		decl:     decl,
 		callFuns: make(map[ast.Expr]bool),
 	}
@@ -349,14 +344,6 @@ func (sc *siteCollector) checkStaticCall(call *ast.CallExpr, fn *types.Func) {
 		sc.calls = append(sc.calls, callEdge{pos: sc.pos(call.Pos()), fn: orig, name: name})
 		sc.checkVariadic(call, name)
 		sc.checkArgBoxing(call)
-		return
-	}
-	if pkg := orig.Pkg(); pkg != nil && sc.modPath != "" &&
-		(pkg.Path() == sc.modPath || strings.HasPrefix(pkg.Path(), sc.modPath+"/")) {
-		// Inventory mode over a package subset: the callee is in-module
-		// but its body was not loaded here; prove mode walks it.
-		sc.addCall(call.Pos(), CatCall, name,
-			"call to %s: in-module but outside the analyzed packages", name)
 		return
 	}
 	sc.addCall(call.Pos(), CatExtern, name,

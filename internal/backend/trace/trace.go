@@ -24,6 +24,7 @@ package trace
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -124,8 +125,8 @@ func (t *Trace) Save(path string) error {
 	return f.Close()
 }
 
-// Load reads a trace from path (transparently gunzipping ".gz" files) and
-// validates it.
+// Load reads a trace from path (transparently gunzipping ".gz" files)
+// through Decode.
 func Load(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -141,12 +142,33 @@ func Load(path string) (*Trace, error) {
 		defer gz.Close()
 		r = gz
 	}
+	t, err := Decode(r)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return t, nil
+}
+
+// Decode reads one JSON trace from r and validates it; anything but
+// whitespace after the trace is an error. An empty metrics object decodes
+// as no metrics, which is how Save writes it, so a decoded trace survives
+// a Save and Decode unchanged.
+func Decode(r io.Reader) (*Trace, error) {
+	dec := json.NewDecoder(r)
 	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decoding %s: %w", path, err)
+	if err := dec.Decode(&t); err != nil {
+		return nil, fmt.Errorf("trace: decoding: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("trace: decoding: data after the trace")
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
+		return nil, err
+	}
+	for i := range t.Events {
+		if len(t.Events[i].Metrics) == 0 {
+			t.Events[i].Metrics = nil
+		}
 	}
 	return &t, nil
 }

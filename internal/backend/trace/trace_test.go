@@ -265,9 +265,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsBadTraces(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"garbage.json": "not json",
-		"version.json": `{"version": 99, "device": "Tesla K40c", "events": []}`,
-		"device.json":  `{"version": 1, "device": "GTX 480", "events": []}`,
+		"garbage.json":  "not json",
+		"version.json":  `{"version": 99, "device": "Tesla K40c", "events": []}`,
+		"device.json":   `{"version": 1, "device": "GTX 480", "events": []}`,
+		"trailing.json": `{"version": 1, "device": "Tesla K40c", "events": []} {}`,
 	}
 	for name, content := range cases {
 		path := filepath.Join(dir, name)

@@ -33,12 +33,6 @@ type Input struct {
 	RefPower float64
 }
 
-// Model is a fitted baseline power model.
-type Model interface {
-	Name() string
-	Predict(in Input, cfg hw.Config) (float64, error)
-}
-
 // abeComponents fixes the component order of the Abe regression.
 var abeComponents = []hw.Component{hw.Int, hw.SP, hw.DP, hw.SF, hw.Shared, hw.L2}
 
@@ -55,7 +49,7 @@ type AbeModel struct {
 	Train []hw.Config
 }
 
-// Name implements Model.
+// Name is the comparator's label in the baseline table.
 func (m *AbeModel) Name() string { return "Abe et al. (linear-f regression)" }
 
 func abeRow(u core.Utilization, cfg hw.Config) []float64 {
@@ -70,7 +64,7 @@ func abeRow(u core.Utilization, cfg hw.Config) []float64 {
 	return row
 }
 
-// Predict implements Model.
+// Predict returns the comparator's power estimate for in at cfg.
 func (m *AbeModel) Predict(in Input, cfg hw.Config) (float64, error) {
 	row := abeRow(in.Util, cfg)
 	x := append([]float64{m.C0}, m.A...)
@@ -155,10 +149,10 @@ type LinearFreqModel struct {
 	inner *core.Model
 }
 
-// Name implements Model.
+// Name is the comparator's label in the baseline table.
 func (m *LinearFreqModel) Name() string { return "GPUWattch-style (linear-f, no voltage)" }
 
-// Predict implements Model.
+// Predict returns the comparator's power estimate for in at cfg.
 func (m *LinearFreqModel) Predict(in Input, cfg hw.Config) (float64, error) {
 	return m.inner.Predict(in.Util, cfg)
 }
@@ -181,7 +175,7 @@ type FixedConfigModel struct {
 	coef []float64 // intercept + one per hw.Components
 }
 
-// Name implements Model.
+// Name is the comparator's label in the baseline table.
 func (m *FixedConfigModel) Name() string { return "Fixed-configuration regression (no DVFS)" }
 
 func fixedRow(u core.Utilization) []float64 {
@@ -193,7 +187,7 @@ func fixedRow(u core.Utilization) []float64 {
 	return row
 }
 
-// Predict implements Model.
+// Predict returns the comparator's power estimate for in at cfg.
 func (m *FixedConfigModel) Predict(in Input, _ hw.Config) (float64, error) {
 	return linalg.Dot(fixedRow(in.Util), m.coef), nil
 }

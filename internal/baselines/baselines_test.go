@@ -193,8 +193,8 @@ func TestWuRejectsBadK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.K > len(d.Benchmarks) {
-		t.Fatalf("k = %d exceeds benchmark count", m.K)
+	if m.K() > len(d.Benchmarks) {
+		t.Fatalf("k = %d exceeds benchmark count", m.K())
 	}
 }
 
@@ -203,8 +203,8 @@ func TestBaselineNames(t *testing.T) {
 	abe, _ := FitAbe(d)
 	fx, _ := FitFixedConfig(d)
 	wu, _ := FitWu(d, 3, 1)
-	for _, m := range []Model{abe, fx, wu} {
-		if m.Name() == "" {
+	for _, name := range []string{abe.Name(), fx.Name(), wu.Name()} {
+		if name == "" {
 			t.Fatal("baseline with empty name")
 		}
 	}

@@ -2,11 +2,10 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
-	"gpupower/internal/stats"
+	"gpupower/internal/scaling"
 )
 
 // WuModel is the Wu et al. (HPCA'15)-style comparator: training kernels are
@@ -15,29 +14,18 @@ import (
 // utilization features assigns new applications to a cluster. The predicted
 // power at a configuration is the application's measured reference power
 // multiplied by the cluster's average scaling factor for that configuration.
+// The clustering is scaling.Classes, the learner the time classifier uses,
+// run over power curves P(Configs[f])/P(ref) instead of time curves.
 type WuModel struct {
-	K        int
 	Configs  []hw.Config
 	RefIndex int
-	// scaling[c][f] is cluster c's mean power-scaling factor at Configs[f].
-	scaling [][]float64
-	// centroidUtil[c] is the mean utilization feature vector of cluster c.
-	centroidUtil [][]float64
+	scaling.Classes
 }
 
-// Name implements Model.
+// Name is the comparator's label in the baseline table.
 func (m *WuModel) Name() string { return "Wu et al.-style (scaling clusters + classifier)" }
 
-// utilFeatures flattens a utilization vector in canonical component order.
-func utilFeatures(u core.Utilization) []float64 {
-	f := make([]float64, len(hw.Components))
-	for i, c := range hw.Components {
-		f[i] = u[c]
-	}
-	return f
-}
-
-// Predict implements Model.
+// Predict returns the comparator's power estimate for in at cfg.
 func (m *WuModel) Predict(in Input, cfg hw.Config) (float64, error) {
 	fi := -1
 	for i, c := range m.Configs {
@@ -49,25 +37,13 @@ func (m *WuModel) Predict(in Input, cfg hw.Config) (float64, error) {
 	if fi < 0 {
 		return 0, fmt.Errorf("baselines: configuration %v unknown to Wu model", cfg)
 	}
-	feat := utilFeatures(in.Util)
-	best, bestD := -1, math.Inf(1)
-	for c := range m.centroidUtil {
-		if d := stats.SqDist(feat, m.centroidUtil[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("baselines: Wu model has no clusters")
-	}
-	return in.RefPower * m.scaling[best][fi], nil
+	return in.RefPower * m.Factor(m.Classify(in.Util), fi), nil
 }
 
-// FitWu clusters the training benchmarks into k scaling groups. Benchmarks
-// whose reference power is zero are skipped (no scaling curve exists).
+// FitWu clusters the training benchmarks into at most k scaling groups.
+// Benchmarks whose reference power is zero are skipped (no scaling curve
+// exists).
 func FitWu(d *core.Dataset, k int, seed uint64) (*WuModel, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("baselines: Wu cluster count %d must be >= 1", k)
-	}
 	refIdx := -1
 	for i, cfg := range d.Configs {
 		if cfg == d.Ref {
@@ -78,9 +54,8 @@ func FitWu(d *core.Dataset, k int, seed uint64) (*WuModel, error) {
 	if refIdx < 0 {
 		return nil, fmt.Errorf("baselines: reference configuration not in dataset")
 	}
-	// Scaling curve per benchmark.
 	var curves [][]float64
-	var feats [][]float64
+	var utils []core.Utilization
 	for bi := range d.Benchmarks {
 		ref := d.Power[bi][refIdx]
 		if ref <= 0 {
@@ -91,49 +66,11 @@ func FitWu(d *core.Dataset, k int, seed uint64) (*WuModel, error) {
 			curve[fi] = d.Power[bi][fi] / ref
 		}
 		curves = append(curves, curve)
-		feats = append(feats, utilFeatures(d.Benchmarks[bi].Util))
+		utils = append(utils, d.Benchmarks[bi].Util)
 	}
-	if len(curves) == 0 {
-		return nil, fmt.Errorf("baselines: no usable training curves for Wu model")
+	classes, err := scaling.Learn(curves, utils, k, seed)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: Wu model: %w", err)
 	}
-	if k > len(curves) {
-		k = len(curves)
-	}
-	assign, _ := stats.KMeans(curves, k, seed)
-
-	m := &WuModel{K: k, Configs: append([]hw.Config(nil), d.Configs...), RefIndex: refIdx}
-	for c := 0; c < k; c++ {
-		var members []int
-		for i, a := range assign {
-			if a == c {
-				members = append(members, i)
-			}
-		}
-		if len(members) == 0 {
-			continue
-		}
-		sc := make([]float64, len(d.Configs))
-		cu := make([]float64, len(hw.Components))
-		for _, i := range members {
-			for fi := range sc {
-				sc[fi] += curves[i][fi]
-			}
-			for j := range cu {
-				cu[j] += feats[i][j]
-			}
-		}
-		inv := 1 / float64(len(members))
-		for fi := range sc {
-			sc[fi] *= inv
-		}
-		for j := range cu {
-			cu[j] *= inv
-		}
-		m.scaling = append(m.scaling, sc)
-		m.centroidUtil = append(m.centroidUtil, cu)
-	}
-	if len(m.scaling) == 0 {
-		return nil, fmt.Errorf("baselines: Wu clustering produced no clusters")
-	}
-	return m, nil
+	return &WuModel{Configs: append([]hw.Config(nil), d.Configs...), RefIndex: refIdx, Classes: classes}, nil
 }

@@ -110,21 +110,10 @@ type Result struct {
 	Wall time.Duration
 }
 
-// BuildDatasets measures one training dataset per spec, fanning out across
-// members (each member's measurement pipeline is confined to one goroutine,
-// per the rig concurrency contract). Result slot i belongs to specs[i].
-func BuildDatasets(ctx context.Context, specs []Spec) ([]*core.Dataset, error) {
-	return parallel.Map(len(specs), func(i int) (*core.Dataset, error) {
-		m, err := OpenMember(specs[i])
-		if err != nil {
-			return nil, err
-		}
-		return m.BuildDataset(ctx)
-	})
-}
-
 // BuildMemberDatasets measures one training dataset per already-open member,
-// fanning out across members. Result slot i belongs to members[i].
+// fanning out across members (each member's measurement pipeline is
+// confined to one goroutine, per the rig concurrency contract). Result slot
+// i belongs to members[i].
 func BuildMemberDatasets(ctx context.Context, members []*Member) ([]*core.Dataset, error) {
 	return parallel.Map(len(members), func(i int) (*core.Dataset, error) {
 		return members[i].BuildDataset(ctx)

@@ -56,6 +56,21 @@ func fleetSpecs() []Spec {
 	return specs
 }
 
+// memberDatasets opens the specs and measures one dataset per member, the
+// path gpowerd and perfbench take.
+func memberDatasets(t *testing.T, specs []Spec) []*core.Dataset {
+	t.Helper()
+	members, err := OpenMembers(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasets, err := BuildMemberDatasets(context.Background(), members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return datasets
+}
+
 // TestFleetFitConcurrent fits ≥8 devices concurrently (GOMAXPROCS pinned to
 // the fleet size so all fits are in flight at once) and pins the bitwise
 // equivalence of the fleet path against individual sequential Estimate
@@ -64,12 +79,10 @@ func fleetSpecs() []Spec {
 // unsynchronized state.
 func TestFleetFitConcurrent(t *testing.T) {
 	specs := fleetSpecs()
-	datasets, err := BuildDatasets(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	datasets := memberDatasets(t, specs)
 
 	var fleetModels []*core.Model
+	var err error
 	withGOMAXPROCS(len(specs), func() {
 		fleetModels, err = FitDatasets(context.Background(), datasets, nil)
 	})
@@ -96,10 +109,7 @@ func TestFleetWorkspaceReuse(t *testing.T) {
 		{Device: "GTX Titan X", Seed: 2},
 		{Device: "Tesla K40c", Seed: 3},
 	}
-	datasets, err := BuildDatasets(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	datasets := memberDatasets(t, specs)
 	fw := core.NewFitWorkspace()
 	for i, d := range datasets {
 		reused, err := core.EstimateWith(context.Background(), d, nil, fw)

@@ -113,13 +113,8 @@ func New(p *profiler.Profiler, m *core.Model, policy Policy) (*Governor, error) 
 	}, nil
 }
 
-// Decide returns the governor's configuration for a kernel with known
-// utilization, per the active policy.
-func (g *Governor) Decide(u core.Utilization) (hw.Config, error) {
-	return g.DecideContext(context.Background(), u) //lint:ignore ctxflow non-cancellable convenience wrapper; the *Context sibling is the cancellable API
-}
-
-// DecideContext is Decide under a context. It delegates to the free Decide
+// DecideContext returns the governor's configuration for a kernel with
+// known utilization, per the active policy. It delegates to the free Decide
 // function — the shared decision engine behind both the in-process governor
 // and gpowerd's /v1/govern endpoint.
 func (g *Governor) DecideContext(ctx context.Context, u core.Utilization) (hw.Config, error) {

@@ -20,7 +20,7 @@ type jsonDiagnostic struct {
 // message, with file paths relative to base when possible.
 func WriteText(w io.Writer, base string, diags []Diagnostic) error {
 	for _, d := range diags {
-		name := relPath(base, d.Pos.Filename)
+		name := RelPath(base, d.Pos.Filename)
 		if _, err := fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", name, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message); err != nil {
 			return err
 		}
@@ -35,7 +35,7 @@ func WriteJSON(w io.Writer, base string, diags []Diagnostic) error {
 	for _, d := range diags {
 		out = append(out, jsonDiagnostic{
 			Analyzer: d.Analyzer,
-			File:     relPath(base, d.Pos.Filename),
+			File:     RelPath(base, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Message:  d.Message,
@@ -46,7 +46,9 @@ func WriteJSON(w io.Writer, base string, diags []Diagnostic) error {
 	return enc.Encode(out)
 }
 
-func relPath(base, name string) string {
+// RelPath returns name relative to base when that is shorter, and name
+// itself otherwise.
+func RelPath(base, name string) string {
 	if base == "" {
 		return name
 	}

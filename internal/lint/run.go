@@ -150,6 +150,15 @@ func (r *Runner) Run(pkgs []*Package) (*Result, error) {
 	return res, nil
 }
 
+// Add folds the findings and directive errors of a check that runs beside
+// the analyzers (gpowerlint's allocation proof) into the result, keeping
+// the canonical order. //lint:ignore directives do not apply to them.
+func (r *Result) Add(diags []Diagnostic, errs []error) {
+	r.Diagnostics = append(r.Diagnostics, diags...)
+	sortDiagnostics(r.Diagnostics)
+	r.DirectiveErrors = append(r.DirectiveErrors, errs...)
+}
+
 // unusedIgnores turns zero-hit directives into diagnostics. A directive is
 // reported only when a verdict is possible and meaningful:
 //

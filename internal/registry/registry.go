@@ -107,15 +107,10 @@ func (e *Entry) Name() string { return e.name }
 // Device returns the entry's device descriptor.
 func (e *Entry) Device() *hw.Device { return e.dev }
 
-// Model returns the current fitted model. Callers serving a batch of
-// predictions must call this once and use the snapshot for the whole
-// batch; that is what makes a batch atomic with respect to Swap.
-//
-//gpower:noalloc one atomic pointer load
-func (e *Entry) Model() *core.Model { return e.cur.Load().model }
-
 // Snapshot returns the current model and its metadata as one consistent
-// pair.
+// pair. Callers serving a batch of predictions must call this once and use
+// the snapshot for the whole batch; that is what makes a batch atomic with
+// respect to Swap.
 //
 //gpower:noalloc one atomic pointer load; the meta struct is copied on the stack
 func (e *Entry) Snapshot() (*core.Model, FitMeta) {

@@ -297,7 +297,7 @@ func TestSwapUnderConcurrentReaders(t *testing.T) {
 				default:
 				}
 				// The serving contract: one snapshot per batch.
-				m := e.Model()
+				m, _ := e.Snapshot()
 				if err := m.PredictAll(u, configs, batch); err != nil {
 					errc <- err
 					return
@@ -328,7 +328,7 @@ func TestSwapUnderConcurrentReaders(t *testing.T) {
 		cur, next = next, cur
 		// Let readers run a couple of batches between swaps.
 		for j := 0; j < batchesPerSwap; j++ {
-			m := e.Model()
+			m, _ := e.Snapshot()
 			scratch := make([]float64, len(configs))
 			if err := m.PredictAll(u, configs, scratch); err != nil {
 				t.Fatal(err)

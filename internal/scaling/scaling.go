@@ -26,34 +26,19 @@ import (
 	"gpupower/internal/kernels"
 	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
-	"gpupower/internal/stats"
 )
 
-// Classifier is the learned time-scaling model.
+// Classifier is the learned time-scaling model: scaling classes over
+// measured time ratios T(Configs[f])/T(Ref).
 type Classifier struct {
 	Configs  []hw.Config
 	Ref      hw.Config
 	RefIndex int
-	// curves[c][f] is class c's mean time ratio T(Configs[f])/T(Ref).
-	curves [][]float64
-	// centroidUtil[c] is class c's mean utilization feature vector.
-	centroidUtil [][]float64
+	Classes
 	// configIdx indexes Configs so PredictTimeRatio is one map lookup per
 	// call instead of a linear ladder scan (the classifier sits on the
 	// same high-query-rate serving path as the prediction surfaces).
 	configIdx map[hw.Config]int
-}
-
-// K returns the number of scaling classes.
-func (c *Classifier) K() int { return len(c.curves) }
-
-// utilFeatures flattens a utilization vector in canonical component order.
-func utilFeatures(u core.Utilization) []float64 {
-	f := make([]float64, len(hw.Components))
-	for i, comp := range hw.Components {
-		f[i] = u[comp]
-	}
-	return f
 }
 
 // Train builds the classifier from the microbenchmark suite: each training
@@ -82,7 +67,8 @@ func Train(ctx context.Context, p *profiler.Profiler, suite []microbench.Benchma
 		return nil, err
 	}
 
-	var curves, feats [][]float64
+	var curves [][]float64
+	var utils []core.Utilization
 	for _, b := range suite {
 		if err := backend.CheckContext(ctx, "scaling: training classifier"); err != nil {
 			return nil, err
@@ -119,51 +105,13 @@ func Train(ctx context.Context, p *profiler.Profiler, suite []microbench.Benchma
 			return nil, err
 		}
 		curves = append(curves, curve)
-		feats = append(feats, utilFeatures(u))
+		utils = append(utils, u)
 	}
-	if len(curves) == 0 {
-		return nil, fmt.Errorf("scaling: no usable training curves")
+	classes, err := Learn(curves, utils, k, seed)
+	if err != nil {
+		return nil, err
 	}
-	if k > len(curves) {
-		k = len(curves)
-	}
-	assign, _ := stats.KMeans(curves, k, seed)
-
-	c := &Classifier{Configs: configs, Ref: ref, RefIndex: refIdx, configIdx: indexConfigs(configs)}
-	for cls := 0; cls < k; cls++ {
-		var members []int
-		for i, a := range assign {
-			if a == cls {
-				members = append(members, i)
-			}
-		}
-		if len(members) == 0 {
-			continue
-		}
-		curve := make([]float64, len(configs))
-		cu := make([]float64, len(hw.Components))
-		for _, i := range members {
-			for fi := range curve {
-				curve[fi] += curves[i][fi]
-			}
-			for j := range cu {
-				cu[j] += feats[i][j]
-			}
-		}
-		inv := 1 / float64(len(members))
-		for fi := range curve {
-			curve[fi] *= inv
-		}
-		for j := range cu {
-			cu[j] *= inv
-		}
-		c.curves = append(c.curves, curve)
-		c.centroidUtil = append(c.centroidUtil, cu)
-	}
-	if len(c.curves) == 0 {
-		return nil, fmt.Errorf("scaling: clustering produced no classes")
-	}
-	return c, nil
+	return &Classifier{Configs: configs, Ref: ref, RefIndex: refIdx, Classes: classes, configIdx: indexConfigs(configs)}, nil
 }
 
 // runAt executes one launch at cfg through the measurement backend and
@@ -182,32 +130,6 @@ func indexConfigs(configs []hw.Config) map[hw.Config]int {
 	return idx
 }
 
-// sqDistToCentroid is stats.SqDist(utilFeatures(u), centroidUtil[cls])
-// computed without materializing the feature slice: the accumulation walks
-// hw.Components in the same canonical order, so the distance — and hence
-// every classification — is bitwise-identical to the allocating form.
-func (c *Classifier) sqDistToCentroid(u core.Utilization, cls int) float64 {
-	cu := c.centroidUtil[cls]
-	var s float64
-	for i, comp := range hw.Components {
-		d := u[comp] - cu[i]
-		s += d * d
-	}
-	return s
-}
-
-// Classify returns the index of the scaling class nearest to an
-// application's utilization vector.
-func (c *Classifier) Classify(u core.Utilization) int {
-	best, bestD := 0, c.sqDistToCentroid(u, 0)
-	for cls := 1; cls < len(c.centroidUtil); cls++ {
-		if d := c.sqDistToCentroid(u, cls); d < bestD {
-			best, bestD = cls, d
-		}
-	}
-	return best
-}
-
 // PredictTimeRatio predicts T(cfg)/T(ref) for an application with the given
 // reference-configuration utilizations. One index lookup plus the
 // nearest-centroid scan; no allocation.
@@ -216,7 +138,7 @@ func (c *Classifier) PredictTimeRatio(u core.Utilization, cfg hw.Config) (float6
 	if !ok {
 		return 0, fmt.Errorf("scaling: configuration %v unknown to classifier", cfg)
 	}
-	return c.curves[c.Classify(u)][fi], nil
+	return c.Factor(c.Classify(u), fi), nil
 }
 
 // AnalyticTimeRatio is the roofline companion, exposed alongside the

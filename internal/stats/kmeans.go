@@ -15,8 +15,8 @@ func SqDist(a, b []float64) float64 {
 // KMeans clusters points with Lloyd's algorithm and deterministic
 // farthest-point seeding (first center from the seed), returning the
 // assignment per point and the final centroids. k is clamped to the point
-// count. Used by the Wu-style baseline and the performance-scaling
-// classifier.
+// count. Used by scaling.Learn, the scaling-class learner behind the
+// Wu-style baseline and the performance-scaling classifier.
 func KMeans(points [][]float64, k int, seed uint64) (assign []int, centers [][]float64) {
 	n := len(points)
 	if n == 0 || k < 1 {
