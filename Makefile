@@ -36,7 +36,8 @@
 #                  plus the alloccheck proof into BENCH_results.json, stamped
 #                  with CPU count, GOMAXPROCS, Go version, GOOS/GOARCH and
 #                  commit (benchjson is built, not `go run`, so the commit is
-#                  embedded). benchjson times nothing itself. A failing
+#                  embedded). benchjson times only the proof (the
+#                  alloccheck row's wall_ns). A failing
 #                  benchmark fails the target before benchjson runs;
 #                  benchjson fails after writing the file if a root is
 #                  unproven or a gated row is missing or above its

@@ -7,8 +7,9 @@
 // It parses the standard `go test -bench -benchmem` output (ns/op, B/op,
 // allocs/op and every b.ReportMetric unit of each row), adds the alloccheck
 // proof of the //gpower:noalloc roots, and writes one JSON document stamped
-// with the host and commit that produced it. It times nothing itself.
-// `make bench-json` is the supported entry point; CI uploads the resulting
+// with the host and commit that produced it. The one figure it measures
+// itself is the proof's wall time (the alloccheck row's wall_ns); every
+// other number comes from the `go test -bench` rows. `make bench-json` is the supported entry point; CI uploads the resulting
 // BENCH_results.json as a build artifact. After writing it, benchjson exits
 // 1 if a root is unproven or a row of the ceilings table is missing or
 // slower than its ceiling.
@@ -253,7 +254,7 @@ func main() {
 	failed := false
 	if !acRes.Clean() {
 		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %d of %d roots unproven, %d directive errors (run `go run ./cmd/gpowerlint ./...` for the findings)\n",
-			acRes.RootCount-acRes.ProvenCount, acRes.RootCount, len(acRes.DirectiveErrors))
+			acRes.RootCount-acRes.ProvenCount, acRes.RootCount, len(acRes.BadDirectives))
 		failed = true
 	}
 	if err := checkCeilings(doc.Benchmarks); err != nil {

@@ -50,9 +50,9 @@ func main() {
 	}
 	for _, name := range reg.Names() {
 		e, _ := reg.Lookup(name)
-		_, meta := e.Snapshot()
+		m, meta := e.Snapshot()
 		fmt.Printf("gpowerd: %s fitted (source=%s, converged=%v, %d iterations)\n",
-			name, meta.Source, meta.Converged, meta.Iterations)
+			name, meta.Source, m.Converged, m.Iterations)
 	}
 
 	srv := &http.Server{Addr: *listen, Handler: gpowerRegistryHandler(reg, *maxBody)}

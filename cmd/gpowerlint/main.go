@@ -24,8 +24,11 @@
 //
 // Packages are analyzed one after another in path order, and diagnostics
 // are sorted into a total order, so output is byte-identical across runs.
-// Directive errors and the proof's one-line summary (roots, proven, escape
-// hatches, functions walked) go to stderr.
+// A malformed //lint:ignore directive is a lintignore diagnostic and a bad
+// //gpower: directive an alloccheck one, at the directive, in text and
+// -json output alike; no //lint:ignore suppresses either. The proof's
+// one-line summary (roots, proven, escape hatches, functions walked) goes
+// to stderr.
 //
 // Usage:
 //
@@ -119,12 +122,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
 		os.Exit(2)
 	}
-	for _, derr := range res.DirectiveErrors {
-		fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", derr)
-	}
 	fmt.Fprintf(os.Stderr, "alloccheck: %d roots, %d proven, %d escape hatches, %d functions walked\n",
 		proof.RootCount, proof.ProvenCount, proof.HatchesUsed, proof.FunctionsWalked)
-	if len(res.Diagnostics) > 0 || len(res.DirectiveErrors) > 0 {
+	if len(res.Diagnostics) > 0 {
 		os.Exit(1)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
 	"gpupower/internal/kernels"
-	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
 	"gpupower/internal/sim"
 )
@@ -140,7 +139,7 @@ func (g *GPU) FitPowerModelWithOptions(opts *EstimatorOptions) (*Model, error) {
 // honored at benchmark granularity while measuring and at iteration
 // granularity while estimating, and surfaces as an error wrapping ctx.Err().
 func (g *GPU) FitPowerModelContext(ctx context.Context, opts *EstimatorOptions) (*Model, error) {
-	d, err := core.BuildDataset(ctx, g.prof, microbench.Suite(), g.dev.DefaultConfig(), g.dev.AllConfigs())
+	d, err := core.BuildDataset(ctx, g.prof)
 	if err != nil {
 		return nil, fmt.Errorf("gpupower: building training dataset: %w", err)
 	}

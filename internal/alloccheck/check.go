@@ -75,9 +75,10 @@ type RootResult struct {
 type Result struct {
 	// Roots holds every annotated function, position-ordered.
 	Roots []RootResult
-	// DirectiveErrors are malformed or dead annotations; any entry fails
-	// the run even when all roots prove clean.
-	DirectiveErrors []string
+	// BadDirectives are malformed, misplaced or dead annotations, one
+	// diagnostic at each; any entry fails the run even when all roots
+	// prove clean.
+	BadDirectives []lint.Diagnostic
 	// Summary totals.
 	RootCount       int
 	ProvenCount     int
@@ -85,9 +86,9 @@ type Result struct {
 	FunctionsWalked int
 }
 
-// Clean reports whether the run proves every root with no directive errors.
+// Clean reports whether the run proves every root with no bad directives.
 func (r *Result) Clean() bool {
-	return len(r.DirectiveErrors) == 0 && r.ProvenCount == r.RootCount
+	return len(r.BadDirectives) == 0 && r.ProvenCount == r.RootCount
 }
 
 // Checker proves //gpower:noalloc roots over a loaded module.
@@ -96,7 +97,7 @@ type Checker struct {
 	units map[*types.Func]*funcUnit
 
 	hatches map[string][]*hatch // file -> hatches, for site suppression
-	dirErrs []string
+	bad     []lint.Diagnostic
 
 	locals      map[*types.Func]*localInfo
 	verdicts    map[*types.Func]*verdict
@@ -135,7 +136,7 @@ func NewChecker(pkgs []*lint.Package) *Checker {
 			}
 		}
 		ds := parseDirectives(pkg)
-		c.dirErrs = append(c.dirErrs, ds.errs...)
+		c.bad = append(c.bad, ds.bad...)
 		for _, h := range ds.hatches {
 			c.hatches[h.pos.Filename] = append(c.hatches[h.pos.Filename], h)
 		}
@@ -149,7 +150,7 @@ func NewChecker(pkgs []*lint.Package) *Checker {
 // over the same tree produce byte-identical reports.
 func (c *Checker) Check() *Result {
 	roots := c.findRoots()
-	res := &Result{DirectiveErrors: append([]string(nil), c.dirErrs...)}
+	res := &Result{BadDirectives: append([]lint.Diagnostic(nil), c.bad...)}
 	for _, u := range roots {
 		v := c.prove(u.obj)
 		fns, dirs := c.reachable(u.obj)
@@ -170,13 +171,14 @@ func (c *Checker) Check() *Result {
 		end := u.pkg.Fset.Position(u.decl.End())
 		for _, h := range c.hatches[start.Filename] {
 			if h.pos.Line >= start.Line && h.pos.Line <= end.Line && !c.used[h] {
-				res.DirectiveErrors = append(res.DirectiveErrors, fmt.Sprintf(
-					"%s:%d:%d: escape hatch suppresses no allocation site (reason: %s)",
-					h.pos.Filename, h.pos.Line, h.pos.Column, h.reason))
+				res.BadDirectives = append(res.BadDirectives, badDirective(h.pos,
+					"escape hatch suppresses no allocation site (reason: %s)", h.reason))
 			}
 		}
 	}
-	sort.Strings(res.DirectiveErrors)
+	sort.Slice(res.BadDirectives, func(i, j int) bool {
+		return res.BadDirectives[i].String() < res.BadDirectives[j].String()
+	})
 	res.RootCount = len(res.Roots)
 	for i := range res.Roots {
 		if res.Roots[i].Proven {
@@ -201,10 +203,8 @@ func (c *Checker) findRoots() []*funcUnit {
 					continue
 				}
 				if fd.Body == nil {
-					pos := pkg.Fset.Position(fd.Pos())
-					c.dirErrs = append(c.dirErrs, fmt.Sprintf(
-						"%s:%d:%d: %s on a bodyless declaration proves nothing",
-						pos.Filename, pos.Line, pos.Column, noallocPrefix))
+					c.bad = append(c.bad, badDirective(pkg.Fset.Position(fd.Pos()),
+						"%s on a bodyless declaration proves nothing", noallocPrefix))
 					continue
 				}
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {

@@ -48,8 +48,8 @@ func hasCategory(r *alloccheck.RootResult, cat alloccheck.Category) bool {
 
 func TestTaxonomy(t *testing.T) {
 	res := runFixture(t, "taxonomy")
-	if len(res.DirectiveErrors) != 0 {
-		t.Fatalf("unexpected directive errors: %v", res.DirectiveErrors)
+	if len(res.BadDirectives) != 0 {
+		t.Fatalf("unexpected directive errors: %v", res.BadDirectives)
 	}
 	roots := rootsByName(t, res)
 
@@ -109,8 +109,8 @@ func TestTaxonomy(t *testing.T) {
 
 func TestInterprocedural(t *testing.T) {
 	res := runFixture(t, "interproc")
-	if len(res.DirectiveErrors) != 0 {
-		t.Fatalf("unexpected directive errors: %v", res.DirectiveErrors)
+	if len(res.BadDirectives) != 0 {
+		t.Fatalf("unexpected directive errors: %v", res.BadDirectives)
 	}
 	roots := rootsByName(t, res)
 
@@ -177,7 +177,7 @@ func TestInterprocedural(t *testing.T) {
 func TestEscapeHatches(t *testing.T) {
 	res := runFixture(t, "hatch")
 	if !res.Clean() {
-		t.Fatalf("hatch fixture not clean: errors=%v roots=%+v", res.DirectiveErrors, res.Roots)
+		t.Fatalf("hatch fixture not clean: errors=%v roots=%+v", res.BadDirectives, res.Roots)
 	}
 	if res.RootCount != 3 || res.ProvenCount != 3 {
 		t.Fatalf("roots=%d proven=%d, want 3/3", res.RootCount, res.ProvenCount)
@@ -203,24 +203,27 @@ func TestDirectiveErrors(t *testing.T) {
 		"suppresses no allocation site":            0,
 		"on a bodyless declaration proves nothing": 0,
 	}
-	for _, e := range res.DirectiveErrors {
+	for _, d := range res.BadDirectives {
+		if d.Analyzer != alloccheck.Name {
+			t.Errorf("directive diagnostic %v not named %s", d, alloccheck.Name)
+		}
 		for sub := range counts {
-			if strings.Contains(e, sub) {
+			if strings.Contains(d.Message, sub) {
 				counts[sub]++
 			}
 		}
 	}
 	if counts["is missing the mandatory reason"] != 1 {
-		t.Errorf("reasonless-hatch errors = %d, want 1: %v", counts["is missing the mandatory reason"], res.DirectiveErrors)
+		t.Errorf("reasonless-hatch errors = %d, want 1: %v", counts["is missing the mandatory reason"], res.BadDirectives)
 	}
 	if counts["misplaced"] != 2 {
-		t.Errorf("misplaced-directive errors = %d, want 2 (in-body, var doc): %v", counts["misplaced"], res.DirectiveErrors)
+		t.Errorf("misplaced-directive errors = %d, want 2 (in-body, var doc): %v", counts["misplaced"], res.BadDirectives)
 	}
 	if counts["suppresses no allocation site"] != 1 {
-		t.Errorf("dead-hatch errors = %d, want 1: %v", counts["suppresses no allocation site"], res.DirectiveErrors)
+		t.Errorf("dead-hatch errors = %d, want 1: %v", counts["suppresses no allocation site"], res.BadDirectives)
 	}
 	if counts["on a bodyless declaration proves nothing"] != 1 {
-		t.Errorf("bodyless-root errors = %d, want 1: %v", counts["on a bodyless declaration proves nothing"], res.DirectiveErrors)
+		t.Errorf("bodyless-root errors = %d, want 1: %v", counts["on a bodyless declaration proves nothing"], res.BadDirectives)
 	}
 
 	roots := rootsByName(t, res)

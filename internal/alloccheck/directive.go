@@ -37,10 +37,10 @@ func (h *hatch) covers(pos token.Position) bool {
 }
 
 // directives holds every parsed annotation of one package plus the parse
-// errors that make a run fail regardless of findings.
+// problems that make a run fail regardless of findings.
 type directives struct {
 	hatches []*hatch
-	errs    []string
+	bad     []lint.Diagnostic
 }
 
 // hasDirective reports whether a comment is the given alloccheck directive
@@ -95,21 +95,24 @@ func parseDirectives(pkg *lint.Package) directives {
 				case hasDirective(c.Text, allocsPrefix):
 					reason := strings.TrimSpace(strings.TrimPrefix(c.Text, allocsPrefix))
 					if reason == "" {
-						ds.errs = append(ds.errs, fmt.Sprintf(
-							"%s:%d:%d: %s is missing the mandatory reason",
-							pos.Filename, pos.Line, pos.Column, allocsPrefix))
+						ds.bad = append(ds.bad, badDirective(pos, "%s is missing the mandatory reason", allocsPrefix))
 						continue
 					}
 					ds.hatches = append(ds.hatches, &hatch{reason: reason, pos: pos})
 				case hasDirective(c.Text, noallocPrefix):
 					if !docComments[c.Pos()] {
-						ds.errs = append(ds.errs, fmt.Sprintf(
-							"%s:%d:%d: misplaced %s: the directive must be part of a function's doc comment",
-							pos.Filename, pos.Line, pos.Column, noallocPrefix))
+						ds.bad = append(ds.bad, badDirective(pos,
+							"misplaced %s: the directive must be part of a function's doc comment", noallocPrefix))
 					}
 				}
 			}
 		}
 	}
 	return ds
+}
+
+// badDirective is the alloccheck diagnostic for a malformed, misplaced or
+// dead directive at pos.
+func badDirective(pos token.Position, format string, args ...any) lint.Diagnostic {
+	return lint.Diagnostic{Analyzer: Name, Pos: pos, Message: fmt.Sprintf(format, args...)}
 }

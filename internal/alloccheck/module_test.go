@@ -22,17 +22,14 @@ func checkModule(t *testing.T, dir, modPath string) *alloccheck.Result {
 	return alloccheck.NewChecker(pkgs).Check()
 }
 
-// render prints a proof run the way gpowerlint reports it: the diagnostics
-// in lint's text and JSON forms, then the directive errors.
+// render prints a proof run the way gpowerlint reports it: the diagnostics,
+// bad directives included, in lint's text and JSON forms.
 func render(t *testing.T, res *alloccheck.Result, base string) (text, js []byte) {
 	t.Helper()
-	diags, errs := res.Report(base)
+	diags := res.Report(base)
 	var tb, jb bytes.Buffer
 	if err := lint.WriteText(&tb, base, diags); err != nil {
 		t.Fatal(err)
-	}
-	for _, err := range errs {
-		tb.WriteString(err.Error() + "\n")
 	}
 	if err := lint.WriteJSON(&jb, base, diags); err != nil {
 		t.Fatal(err)

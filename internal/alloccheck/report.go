@@ -1,7 +1,6 @@
 package alloccheck
 
 import (
-	"errors"
 	"fmt"
 
 	"gpupower/internal/lint"
@@ -20,10 +19,10 @@ error. Runs on every gpowerlint run, whatever -analyzers selects.`
 
 // Report converts a proof run into gpowerlint's currency: one diagnostic
 // named alloccheck per finding of an unproven root, at the finding's site,
-// and one error per malformed, misplaced or dead directive. A finding's
-// message follows a call-shaped site hop by hop down to the direct
-// allocation that seeds it, with the hops' paths relative to base.
-func (r *Result) Report(base string) ([]lint.Diagnostic, []error) {
+// followed by the bad directives. A finding's message follows a
+// call-shaped site hop by hop down to the direct allocation that seeds it,
+// with the hops' paths relative to base.
+func (r *Result) Report(base string) []lint.Diagnostic {
 	var diags []lint.Diagnostic
 	for i := range r.Roots {
 		rr := &r.Roots[i]
@@ -36,9 +35,5 @@ func (r *Result) Report(base string) ([]lint.Diagnostic, []error) {
 			diags = append(diags, lint.Diagnostic{Analyzer: Name, Pos: s.Pos, Message: msg})
 		}
 	}
-	errs := make([]error, len(r.DirectiveErrors))
-	for i, e := range r.DirectiveErrors {
-		errs[i] = errors.New(e)
-	}
-	return diags, errs
+	return append(diags, r.BadDirectives...)
 }

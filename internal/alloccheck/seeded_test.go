@@ -47,7 +47,7 @@ func TestSeededMutations(t *testing.T) {
 
 	base := checkModule(t, dst, modPath)
 	if !base.Clean() {
-		t.Fatalf("pristine copy not clean: errors=%v proven=%d/%d", base.DirectiveErrors, base.ProvenCount, base.RootCount)
+		t.Fatalf("pristine copy not clean: errors=%v proven=%d/%d", base.BadDirectives, base.ProvenCount, base.RootCount)
 	}
 
 	plants := map[string]string{
@@ -64,8 +64,8 @@ func TestSeededMutations(t *testing.T) {
 	if res.Clean() {
 		t.Fatal("seeded mutations went undetected")
 	}
-	if len(res.DirectiveErrors) != 0 {
-		t.Fatalf("unexpected directive errors: %v", res.DirectiveErrors)
+	if len(res.BadDirectives) != 0 {
+		t.Fatalf("unexpected directive errors: %v", res.BadDirectives)
 	}
 	if res.RootCount != base.RootCount+2 {
 		t.Fatalf("RootCount = %d, want %d (baseline %d + 2 plants)", res.RootCount, base.RootCount+2, base.RootCount)

@@ -8,7 +8,6 @@ import (
 
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
-	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
 	"gpupower/internal/sim"
 	"gpupower/internal/suites"
@@ -30,13 +29,12 @@ func tuner(t *testing.T) *Tuner {
 			rigErr = err
 			return
 		}
-		dev := b.Device()
 		rigProf, rigErr = profiler.New(b)
 		if rigErr != nil {
 			return
 		}
 		var d *core.Dataset
-		d, rigErr = core.BuildDataset(ctx, rigProf, microbench.Suite(), dev.DefaultConfig(), dev.AllConfigs())
+		d, rigErr = core.BuildDataset(ctx, rigProf)
 		if rigErr != nil {
 			return
 		}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"gpupower/internal/microbench"
 )
 
 // The cancellation regression tests: long-running pipeline stages must
@@ -52,10 +50,9 @@ func TestEstimateCanceledMidIteration(t *testing.T) {
 
 func TestBuildDatasetCanceled(t *testing.T) {
 	p := k40Profiler(t)
-	dev := p.HW()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildDataset(ctx, p, microbench.Suite(), dev.DefaultConfig(), dev.AllConfigs())
+	_, err := BuildDataset(ctx, p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}

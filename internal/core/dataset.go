@@ -116,25 +116,25 @@ func CalibrateL2BytesPerCycle(ctx context.Context, p *profiler.Profiler, ref hw.
 	return best, nil
 }
 
-// BuildDataset measures the full training dataset on a device: events for
-// every microbenchmark at the reference configuration, power for every
-// microbenchmark at every configuration in configs. Cancellation is checked
-// at benchmark and configuration granularity.
-func BuildDataset(ctx context.Context, p *profiler.Profiler, suite []microbench.Benchmark, ref hw.Config, configs []hw.Config) (*Dataset, error) {
-	if len(suite) == 0 {
-		return nil, fmt.Errorf("core: empty microbenchmark suite")
-	}
+// BuildDataset measures the full training dataset on the profiler's
+// device: events for every microbenchmark of the suite at the device's
+// reference configuration, power for every microbenchmark at every
+// configuration of its ladder. Cancellation is checked at benchmark and
+// configuration granularity.
+func BuildDataset(ctx context.Context, p *profiler.Profiler) (*Dataset, error) {
+	dev := p.HW()
+	ref, configs := dev.DefaultConfig(), dev.AllConfigs()
 	l2bpc, err := CalibrateL2BytesPerCycle(ctx, p, ref)
 	if err != nil {
 		return nil, err
 	}
 	d := &Dataset{
-		Device:          p.HW(),
+		Device:          dev,
 		Ref:             ref,
-		Configs:         append([]hw.Config(nil), configs...),
+		Configs:         configs,
 		L2BytesPerCycle: l2bpc,
 	}
-	for _, b := range suite {
+	for _, b := range microbench.Suite() {
 		if err := backend.CheckContext(ctx, "core: building dataset"); err != nil {
 			return nil, err
 		}

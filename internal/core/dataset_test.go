@@ -45,7 +45,7 @@ func TestCalibrateL2BytesPerCycle(t *testing.T) {
 func TestBuildDatasetShape(t *testing.T) {
 	p := k40Profiler(t)
 	dev := p.HW()
-	d, err := BuildDataset(context.Background(), p, microbench.Suite(), dev.DefaultConfig(), dev.AllConfigs())
+	d, err := BuildDataset(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,6 @@ func TestBuildDatasetShape(t *testing.T) {
 		if d.Power[bi][refIdx] < d.Power[idleIdx][refIdx]-2 {
 			t.Fatalf("benchmark %s cheaper than idle", d.Benchmarks[bi].Name)
 		}
-	}
-}
-
-func TestBuildDatasetEmptySuite(t *testing.T) {
-	p := k40Profiler(t)
-	dev := p.HW()
-	if _, err := BuildDataset(context.Background(), p, nil, dev.DefaultConfig(), dev.AllConfigs()); err == nil {
-		t.Fatal("empty suite accepted")
 	}
 }
 
@@ -183,7 +175,7 @@ func TestDatasetValidate(t *testing.T) {
 func TestEndToEndFitOnSimulatedK40c(t *testing.T) {
 	p := k40Profiler(t)
 	dev := p.HW()
-	d, err := BuildDataset(context.Background(), p, microbench.Suite(), dev.DefaultConfig(), dev.AllConfigs())
+	d, err := BuildDataset(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

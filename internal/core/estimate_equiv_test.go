@@ -8,7 +8,6 @@ import (
 	"gpupower/internal/backend/trace"
 	"gpupower/internal/hw"
 	"gpupower/internal/linalg"
-	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
 	"gpupower/internal/stats"
 )
@@ -93,8 +92,7 @@ func k40cTraceDataset(t *testing.T) *Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := p.HW()
-	d, err := BuildDataset(context.Background(), p, microbench.Suite(), dev.DefaultConfig(), dev.AllConfigs())
+	d, err := BuildDataset(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -320,3 +320,17 @@ func TestCollectorPassCountMatchesSchedule(t *testing.T) {
 		t.Fatalf("collector pass count %d, schedule %d", len(c.passes), want)
 	}
 }
+
+// PassCount returns how many kernel replays one full collection needs on
+// the device.
+func PassCount(dev *hw.Device) (int, error) {
+	table, err := Table(dev)
+	if err != nil {
+		return 0, err
+	}
+	passes, err := Passes(table, dev.Arch)
+	if err != nil {
+		return 0, err
+	}
+	return len(passes), nil
+}

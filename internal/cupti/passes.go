@@ -54,20 +54,6 @@ func Passes(table EventTable, arch hw.Arch) ([][]Event, error) {
 	return passes, nil
 }
 
-// PassCount returns how many kernel replays one full collection needs on
-// the device.
-func PassCount(dev *hw.Device) (int, error) {
-	table, err := Table(dev)
-	if err != nil {
-		return 0, err
-	}
-	passes, err := Passes(table, dev.Arch)
-	if err != nil {
-		return 0, err
-	}
-	return len(passes), nil
-}
-
 // validatePasses checks the structural invariants of a pass schedule:
 // every event appears exactly once and no pass exceeds the register budget.
 func validatePasses(passes [][]Event, table EventTable, arch hw.Arch) error {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -178,96 +179,35 @@ func (r *AblationResult) WriteCSV(w io.Writer) error {
 	return writeCSV(w, []string{"device", "variant", "mae_pct"}, rows)
 }
 
-// ExportAllCSVs runs every experiment and writes one CSV per artifact into
-// dir (created if needed). Returns the file paths written.
+// ExportAllCSVs runs the experiments the table marks for CSV, in table
+// order, and writes each one's data series to <name>.csv in dir (created if
+// needed). Returns the file paths written.
 func ExportAllCSVs(ctx context.Context, dir string, seed uint64) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var written []string
-	write := func(name string, fn func(w io.Writer) error) error {
-		path := filepath.Join(dir, name)
+	for _, e := range table {
+		if e.modes&inCSV == 0 {
+			continue
+		}
+		r, err := e.run(ctx, seed)
+		if err != nil {
+			return nil, err
+		}
+		cw, ok := r.(csvWriter)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s has no CSV rendering", e.name)
+		}
+		path := filepath.Join(dir, e.name+".csv")
 		file, err := os.Create(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer file.Close()
-		if err := fn(file); err != nil {
-			return fmt.Errorf("experiments: exporting %s: %w", name, err)
+		if err := errors.Join(cw.WriteCSV(file), file.Close()); err != nil {
+			return nil, fmt.Errorf("experiments: exporting %s.csv: %w", e.name, err)
 		}
 		written = append(written, path)
-		return nil
-	}
-
-	fig2, err := RunFig2(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig2.csv", fig2.WriteCSV); err != nil {
-		return nil, err
-	}
-	fig5, err := RunFig5(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig5.csv", fig5.WriteCSV); err != nil {
-		return nil, err
-	}
-	fig6, err := RunFig6(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig6.csv", fig6.WriteCSV); err != nil {
-		return nil, err
-	}
-	fig7, err := RunFig7(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig7.csv", fig7.WriteCSV); err != nil {
-		return nil, err
-	}
-	fig8, err := RunFig8(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig8.csv", fig8.WriteCSV); err != nil {
-		return nil, err
-	}
-	fig9, err := RunFig9(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig9.csv", fig9.WriteCSV); err != nil {
-		return nil, err
-	}
-	fig10, err := RunFig10(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("fig10.csv", fig10.WriteCSV); err != nil {
-		return nil, err
-	}
-	conv, err := RunConvergence(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("convergence.csv", conv.WriteCSV); err != nil {
-		return nil, err
-	}
-	base, err := RunBaselines(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("baselines.csv", base.WriteCSV); err != nil {
-		return nil, err
-	}
-	abl, err := RunAblation(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := write("ablation.csv", abl.WriteCSV); err != nil {
-		return nil, err
 	}
 	return written, nil
 }

@@ -131,6 +131,41 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestEveryTableRowRuns runs every row of the experiment table through
+// RunByName with plotting on, and checks that each row marked for -csv or
+// -report returns a result with that rendering. It runs at a seed no other
+// test here uses (robustness also takes the four after it), so the shared
+// rigs the shape tests read keep their noise streams.
+func TestEveryTableRowRuns(t *testing.T) {
+	const seed = 2018
+	ctx := context.Background()
+	for _, e := range table {
+		var buf bytes.Buffer
+		if err := RunByName(ctx, e.name, &buf, seed, true); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if buf.Len() == 0 {
+			t.Errorf("%s wrote nothing", e.name)
+		}
+		if e.modes&(inCSV|inReport) == 0 {
+			continue
+		}
+		r, err := e.run(ctx, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if _, ok := r.(csvWriter); e.modes&inCSV != 0 && !ok {
+			t.Errorf("%s is marked for -csv, but %T has no CSV rendering", e.name, r)
+		}
+		if _, ok := r.(markdowner); e.modes&inReport != 0 && !ok {
+			t.Errorf("%s is marked for -report, but %T has no report section", e.name, r)
+		}
+		if _, ok := r.(Plotter); ok && !bytes.Contains(buf.Bytes(), []byte("legend:")) {
+			t.Errorf("%s: -plot output carries no chart", e.name)
+		}
+	}
+}
+
 func TestRunByNameWithPlot(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunByName(context.Background(), "fig6", &buf, DefaultSeed, true); err != nil {

@@ -1,7 +1,9 @@
 // Package experiments contains one driver per table/figure of the paper's
 // evaluation (Section V), plus baseline comparisons and ablations. Each
 // driver returns a machine-readable result and can render the paper-style
-// rows/series as text. All drivers are deterministic for a given seed.
+// rows/series as text. All drivers are deterministic for a given seed. One
+// ordered table (registry.go) lists the experiments and the batch modes
+// (-exp all, -csv, -report) that run each.
 package experiments
 
 import (
@@ -11,7 +13,6 @@ import (
 
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
-	"gpupower/internal/microbench"
 	"gpupower/internal/parallel"
 	"gpupower/internal/profiler"
 	"gpupower/internal/sim"
@@ -66,7 +67,7 @@ func (r *Rig) Dataset(ctx context.Context) (*core.Dataset, error) {
 	if r.dataset != nil {
 		return r.dataset, nil
 	}
-	d, err := core.BuildDataset(ctx, r.Profiler, microbench.Suite(), r.Device.DefaultConfig(), r.Device.AllConfigs())
+	d, err := core.BuildDataset(ctx, r.Profiler)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building dataset on %s: %w", r.Device.Name, err)
 	}
@@ -119,8 +120,9 @@ func SharedRig(deviceName string, seed uint64) (*Rig, error) {
 // SharedRigs resolves (and warms) one shared rig per device name, fitting
 // the models in parallel. Each rig owns its simulator, profiler, dataset
 // and model, so the per-device pipelines are independent; result slot i
-// always belongs to deviceNames[i]. This is the fan-out every multi-device
-// experiment (fig5–fig10, robustness) rides on.
+// always belongs to deviceNames[i]. RunCluster fits its fleet through it;
+// the other multi-device drivers fan out per device themselves (RunFig7,
+// RunRobustness) or walk the devices in turn.
 func SharedRigs(ctx context.Context, deviceNames []string, seed uint64) ([]*Rig, error) {
 	return parallel.Map(len(deviceNames), func(i int) (*Rig, error) {
 		r, err := SharedRig(deviceNames[i], seed)

@@ -22,7 +22,6 @@ import (
 	"gpupower/internal/backend"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
-	"gpupower/internal/microbench"
 	"gpupower/internal/parallel"
 	"gpupower/internal/profiler"
 	"gpupower/internal/sim"
@@ -85,7 +84,7 @@ func OpenMembers(specs []Spec) ([]*Member, error) {
 // BuildDataset measures the member's full training dataset (83
 // microbenchmarks at every ladder configuration) through its own profiler.
 func (m *Member) BuildDataset(ctx context.Context) (*core.Dataset, error) {
-	d, err := core.BuildDataset(ctx, m.Profiler, microbench.Suite(), m.Device.DefaultConfig(), m.Device.AllConfigs())
+	d, err := core.BuildDataset(ctx, m.Profiler)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dataset for %s: %w", m.Spec, err)
 	}

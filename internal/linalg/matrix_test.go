@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -200,4 +201,16 @@ func TestCopyColumns(t *testing.T) {
 		}
 	}()
 	m.copyColumns([]int{3})
+}
+
+// Col returns a copy of column j.
+func (m *Matrix) Col(j int) []float64 {
+	if j < 0 || j >= m.cols {
+		panic(fmt.Sprintf("linalg: col %d out of bounds for %dx%d matrix", j, m.rows, m.cols))
+	}
+	out := make([]float64, m.rows)
+	for i := 0; i < m.rows; i++ {
+		out[i] = m.data[i*m.cols+j]
+	}
+	return out
 }

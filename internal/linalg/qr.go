@@ -418,12 +418,3 @@ func RidgeLeastSquares(a *Matrix, b []float64, lambda float64) ([]float64, error
 	copy(rhs, b)
 	return LeastSquares(aug, rhs)
 }
-
-// Residual returns b − A·x.
-func Residual(a *Matrix, x, b []float64) ([]float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	return Sub(b, ax), nil
-}

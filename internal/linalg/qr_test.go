@@ -182,3 +182,12 @@ func TestQRWorkspaceApplyQTAndR(t *testing.T) {
 		}
 	}
 }
+
+// Residual returns b − A·x.
+func Residual(a *Matrix, x, b []float64) ([]float64, error) {
+	ax, err := a.MulVec(x)
+	if err != nil {
+		return nil, err
+	}
+	return Sub(b, ax), nil
+}

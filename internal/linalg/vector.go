@@ -41,18 +41,6 @@ func Norm2(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // MaxAbsDiff returns max_i |a[i]-b[i]|.
 func MaxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {

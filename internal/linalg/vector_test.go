@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -62,4 +63,16 @@ func TestNormDotConsistency(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Sub returns a-b as a new slice.
+func Sub(a, b []float64) []float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(a), len(b)))
+	}
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
 }

@@ -89,9 +89,9 @@ func TestParallelOutputByteIdenticalToSerial(t *testing.T) {
 }
 
 // TestMalformedDirectiveFailsRun: a //lint:ignore naming an unknown
-// analyzer, or giving no reason, is a directive error, which fails the run
-// (gpowerlint exits 1); it suppresses nothing, and the other packages'
-// findings are still reported.
+// analyzer, or giving no reason, is a lintignore diagnostic at the
+// directive, which fails the run (gpowerlint exits 1); it suppresses
+// nothing, and the other packages' findings are still reported.
 func TestMalformedDirectiveFailsRun(t *testing.T) {
 	root := t.TempDir()
 	tree := manyPackageTree(1)
@@ -107,15 +107,23 @@ func Eq(x, y float64) bool {
 `
 	writeTree(t, root, tree)
 	res := runModule(t, root, "example.com/m")
-	if len(res.DirectiveErrors) != 2 {
-		t.Fatalf("directive errors: %v, want 2", res.DirectiveErrors)
-	}
-	for i, want := range []string{"unknown analyzer", "missing the mandatory reason"} {
-		if !strings.Contains(res.DirectiveErrors[i].Error(), want) {
-			t.Errorf("directive error %d = %v, want it to mention %q", i, res.DirectiveErrors[i], want)
+	var directives, findings []lint.Diagnostic
+	for _, d := range res.Diagnostics {
+		if d.Analyzer == lint.IgnoreDirectiveName {
+			directives = append(directives, d)
+		} else {
+			findings = append(findings, d)
 		}
 	}
-	if len(res.Diagnostics) != 2 || res.Suppressed != 1 {
-		t.Fatalf("%d diagnostics, %d suppressed; want 2 and 1\n%s", len(res.Diagnostics), res.Suppressed, renderText(t, res))
+	if len(directives) != 2 {
+		t.Fatalf("directive diagnostics: %v, want 2", directives)
+	}
+	for i, want := range []string{"unknown analyzer", "missing the mandatory reason"} {
+		if !strings.Contains(directives[i].Message, want) {
+			t.Errorf("directive diagnostic %d = %v, want it to mention %q", i, directives[i], want)
+		}
+	}
+	if len(findings) != 2 || res.Suppressed != 1 {
+		t.Fatalf("%d findings, %d suppressed; want 2 and 1\n%s", len(findings), res.Suppressed, renderText(t, res))
 	}
 }

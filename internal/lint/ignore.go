@@ -43,13 +43,19 @@ func (ig *Ignore) Matches(analyzer string, pos token.Position) bool {
 	return false
 }
 
+// IgnoreDirectiveName is the analyzer name carried by the diagnostics for
+// malformed //lint:ignore directives. No analyzer runs under it, so no
+// directive can name it, and the Runner reports these diagnostics after
+// suppression: a broken suppression cannot suppress its own report.
+const IgnoreDirectiveName = "lintignore"
+
 // ParseIgnores extracts every //lint:ignore directive from a file. known maps
 // valid analyzer names; a directive naming an unknown analyzer, or missing
-// its analyzer list or reason, is returned as an error — silently-dead
-// suppressions are worse than none.
-func ParseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool) ([]Ignore, []error) {
+// its analyzer list or reason, is returned as a diagnostic at the directive —
+// silently-dead suppressions are worse than none.
+func ParseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool) ([]Ignore, []Diagnostic) {
 	var igs []Ignore
-	var errs []error
+	var bad []Diagnostic
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := c.Text
@@ -64,14 +70,14 @@ func ParseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool) ([]Ig
 			}
 			ig, err := parseIgnoreBody(strings.TrimSpace(rest), known)
 			if err != nil {
-				errs = append(errs, fmt.Errorf("%s:%d:%d: %w", pos.Filename, pos.Line, pos.Column, err))
+				bad = append(bad, Diagnostic{Analyzer: IgnoreDirectiveName, Pos: pos, Message: err.Error()})
 				continue
 			}
 			ig.Pos = pos
 			igs = append(igs, ig)
 		}
 	}
-	return igs, errs
+	return igs, bad
 }
 
 func parseIgnoreBody(body string, known map[string]bool) (Ignore, error) {

@@ -11,7 +11,7 @@ var knownAnalyzers = map[string]bool{
 	"maporder": true, "floateq": true, "ctxflow": true, "senterr": true, "gonosync": true,
 }
 
-func parseIgnoresFrom(t *testing.T, src string) (*token.FileSet, []Ignore, []error) {
+func parseIgnoresFrom(t *testing.T, src string) (*token.FileSet, []Ignore, []Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "fix.go", src, parser.ParseComments)
@@ -88,10 +88,10 @@ var X = 1
 	if len(igs) != 0 {
 		t.Fatalf("unknown-analyzer directive was accepted: %+v", igs)
 	}
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), `unknown analyzer "nosuchcheck"`) {
+	if len(errs) != 1 || !strings.Contains(errs[0].String(), `unknown analyzer "nosuchcheck"`) {
 		t.Fatalf("want one unknown-analyzer error, got %v", errs)
 	}
-	if !strings.Contains(errs[0].Error(), "fix.go:3:") {
+	if !strings.Contains(errs[0].String(), "fix.go:3:") {
 		t.Errorf("error does not carry the directive position: %v", errs[0])
 	}
 }
@@ -110,7 +110,7 @@ func TestParseIgnoresRequiresReason(t *testing.T) {
 		}
 	}
 	_, _, errs := parseIgnoresFrom(t, "package p\n\n//lint:ignore floateq\nvar X = 1\n")
-	if !strings.Contains(errs[0].Error(), "missing the mandatory reason") {
+	if !strings.Contains(errs[0].String(), "missing the mandatory reason") {
 		t.Errorf("want mandatory-reason error, got %v", errs[0])
 	}
 }

@@ -79,10 +79,6 @@ func RunAnalyzers(t *testing.T, testdata string, as []*lint.Analyzer, patterns .
 	if err != nil {
 		t.Fatalf("run %s: %v", as[0].Name, err)
 	}
-	for _, derr := range res.DirectiveErrors {
-		t.Errorf("directive error: %v", derr)
-	}
-
 	var wants []*expectation
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {

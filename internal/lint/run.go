@@ -37,12 +37,11 @@ type Runner struct {
 // Result is the outcome of one lint run.
 type Result struct {
 	// Diagnostics are the surviving (unsuppressed) findings in
-	// deterministic (file, line, col, analyzer, message) order.
+	// deterministic (file, line, col, analyzer, message) order, including
+	// one IgnoreDirectiveName diagnostic per malformed or unknown-analyzer
+	// //lint:ignore directive: a suppression that does not parse is not
+	// silently discarded.
 	Diagnostics []Diagnostic
-	// DirectiveErrors are malformed or unknown-analyzer //lint:ignore
-	// directives. They fail the run: a suppression that does not parse is
-	// not silently discarded.
-	DirectiveErrors []error
 	// Suppressed counts findings removed by valid directives.
 	Suppressed int
 }
@@ -91,16 +90,16 @@ func (r *Runner) Run(pkgs []*Package) (*Result, error) {
 	}
 
 	res := &Result{}
-	var all []Diagnostic
+	var all, bad []Diagnostic
 	var ignores []Ignore
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("lint: package %s has type errors: %w", pkg.Path, pkg.TypeErrors[0])
 		}
 		for _, f := range pkg.Files {
-			igs, errs := ParseIgnores(pkg.Fset, f, known)
+			igs, b := ParseIgnores(pkg.Fset, f, known)
 			ignores = append(ignores, igs...)
-			res.DirectiveErrors = append(res.DirectiveErrors, errs...)
+			bad = append(bad, b...)
 		}
 		for _, a := range r.Analyzers {
 			if a.Name == UnusedIgnoreName {
@@ -146,17 +145,17 @@ func (r *Runner) Run(pkgs []*Package) (*Result, error) {
 		}
 	}
 
-	sortDiagnostics(res.Diagnostics)
+	res.Add(bad)
 	return res, nil
 }
 
-// Add folds the findings and directive errors of a check that runs beside
-// the analyzers (gpowerlint's allocation proof) into the result, keeping
-// the canonical order. //lint:ignore directives do not apply to them.
-func (r *Result) Add(diags []Diagnostic, errs []error) {
+// Add folds diagnostics that no //lint:ignore directive may suppress — the
+// Runner's own directive problems, and the findings of a check that runs
+// beside the analyzers (gpowerlint's allocation proof) — into the result,
+// keeping the canonical order.
+func (r *Result) Add(diags []Diagnostic) {
 	r.Diagnostics = append(r.Diagnostics, diags...)
 	sortDiagnostics(r.Diagnostics)
-	r.DirectiveErrors = append(r.DirectiveErrors, errs...)
 }
 
 // unusedIgnores turns zero-hit directives into diagnostics. A directive is

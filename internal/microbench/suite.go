@@ -336,12 +336,3 @@ func Suite() []Benchmark {
 
 // SuiteSize is the expected benchmark count (83, per the paper).
 const SuiteSize = 83
-
-// ByCollection groups the suite by collection, preserving order.
-func ByCollection(suite []Benchmark) map[Collection][]Benchmark {
-	out := make(map[Collection][]Benchmark)
-	for _, b := range suite {
-		out[b.Collection] = append(out[b.Collection], b)
-	}
-	return out
-}

@@ -235,3 +235,12 @@ func TestIterOfParsesLoopCounts(t *testing.T) {
 		}
 	}
 }
+
+// ByCollection groups the suite by collection, preserving order.
+func ByCollection(suite []Benchmark) map[Collection][]Benchmark {
+	out := make(map[Collection][]Benchmark)
+	for _, b := range suite {
+		out[b.Collection] = append(out[b.Collection], b)
+	}
+	return out
+}

@@ -23,7 +23,6 @@ import (
 	"gpupower/internal/backend"
 	"gpupower/internal/core"
 	"gpupower/internal/hw"
-	"gpupower/internal/microbench"
 	"gpupower/internal/profiler"
 )
 
@@ -32,9 +31,6 @@ type FitMeta struct {
 	// Generation numbers the entry's installs: 1 for the model NewEntry
 	// installs, one more per Swap. The entry assigns it.
 	Generation uint64
-	// Iterations and Converged report how the Section III-D loop ended.
-	Iterations int
-	Converged  bool
 	// FitWall is the wall-clock duration of the fitting phase.
 	FitWall time.Duration
 	// FittedAt is when the model was installed.
@@ -71,20 +67,9 @@ type Entry struct {
 	fitMu sync.Mutex
 }
 
-// normalizeMeta forces the install number and the fields that must mirror
-// the installed model: metadata can never disagree with the model it
-// describes.
-func normalizeMeta(meta FitMeta, m *core.Model, gen uint64) FitMeta {
-	meta.Generation = gen
-	meta.Iterations = m.Iterations
-	meta.Converged = m.Converged
-	return meta
-}
-
 // NewEntry builds an entry serving model m for the named device. The
 // backend and profiler may be nil for model-only entries. meta.Generation
-// is set to 1; meta.Iterations and meta.Converged are forced from the
-// model.
+// is set to 1.
 func NewEntry(name string, dev *hw.Device, bk backend.Backend, prof *profiler.Profiler, m *core.Model, meta FitMeta) (*Entry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("registry: empty entry name")
@@ -97,7 +82,8 @@ func NewEntry(name string, dev *hw.Device, bk backend.Backend, prof *profiler.Pr
 			name, m.DeviceName, dev.Name)
 	}
 	e := &Entry{name: name, dev: dev, bk: bk, prof: prof}
-	e.cur.Store(&fitted{model: m, meta: normalizeMeta(meta, m, 1)})
+	meta.Generation = 1
+	e.cur.Store(&fitted{model: m, meta: meta})
 	return e, nil
 }
 
@@ -132,7 +118,8 @@ func (e *Entry) Swap(m *core.Model, meta FitMeta) (*core.Model, error) {
 	}
 	for {
 		old := e.cur.Load()
-		next := &fitted{model: m, meta: normalizeMeta(meta, m, old.meta.Generation+1)}
+		meta.Generation = old.meta.Generation + 1
+		next := &fitted{model: m, meta: meta}
 		if e.cur.CompareAndSwap(old, next) {
 			return old.model, nil
 		}
@@ -150,7 +137,7 @@ func (e *Entry) Refit(ctx context.Context, opts *core.EstimatorOptions) (*core.M
 	}
 	e.fitMu.Lock()
 	defer e.fitMu.Unlock()
-	d, err := core.BuildDataset(ctx, e.prof, microbench.Suite(), e.dev.DefaultConfig(), e.dev.AllConfigs())
+	d, err := core.BuildDataset(ctx, e.prof)
 	if err != nil {
 		return nil, fmt.Errorf("registry: refit %q: %w", e.name, err)
 	}
@@ -161,11 +148,9 @@ func (e *Entry) Refit(ctx context.Context, opts *core.EstimatorOptions) (*core.M
 	}
 	_, oldMeta := e.Snapshot()
 	meta := FitMeta{
-		Iterations: m.Iterations,
-		Converged:  m.Converged,
-		FitWall:    time.Since(start),
-		FittedAt:   time.Now(),
-		Source:     oldMeta.Source,
+		FitWall:  time.Since(start),
+		FittedAt: time.Now(),
+		Source:   oldMeta.Source,
 	}
 	if _, err := e.Swap(m, meta); err != nil {
 		return nil, err

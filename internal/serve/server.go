@@ -134,8 +134,7 @@ func (s *Server) initMetrics() {
 			return float64(meta.Generation)
 		}, e.Name())
 		conv.With(func() float64 {
-			_, meta := e.Snapshot()
-			if meta.Converged {
+			if m, _ := e.Snapshot(); m.Converged {
 				return 1
 			}
 			return 0
@@ -330,8 +329,8 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 			TDPWatts:   dev.TDP,
 			NumConfigs: dev.NumConfigs(),
 			Generation: meta.Generation,
-			Iterations: meta.Iterations,
-			Converged:  meta.Converged,
+			Iterations: m.Iterations,
+			Converged:  m.Converged,
 			FittedAt:   meta.FittedAt.UTC().Format(time.RFC3339),
 			Source:     meta.Source,
 		})

@@ -6,18 +6,6 @@ import (
 	"sort"
 )
 
-// MAE returns the mean absolute error between predictions and measurements.
-func MAE(pred, meas []float64) (float64, error) {
-	if err := sameLen(pred, meas); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - meas[i])
-	}
-	return s / float64(len(pred)), nil
-}
-
 // MAPE returns the mean absolute percentage error, in percent, matching the
 // paper's accuracy metric ("mean absolute error" of 6.9%, 6.0%, 12.4% is a
 // percentage of the measured power).
@@ -61,19 +49,6 @@ func MeanPercentError(pred, meas []float64) (float64, error) {
 	return 100 * s / float64(n), nil
 }
 
-// RMSE returns the root-mean-square error.
-func RMSE(pred, meas []float64) (float64, error) {
-	if err := sameLen(pred, meas); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - meas[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred))), nil
-}
-
 func sameLen(a, b []float64) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("stats: length mismatch %d vs %d", len(a), len(b))
@@ -111,29 +86,6 @@ func Median(v []float64) float64 {
 	// Midpoint form avoids overflow for extreme magnitudes.
 	lo, hi := c[n/2-1], c[n/2]
 	return lo + (hi-lo)/2
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of v with linear interpolation.
-func Quantile(v []float64, q float64) (float64, error) {
-	if len(v) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g out of [0,1]", q)
-	}
-	c := append([]float64(nil), v...)
-	sort.Float64s(c)
-	if len(c) == 1 {
-		return c[0], nil
-	}
-	pos := q * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return c[lo], nil
-	}
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac, nil
 }
 
 // StdDev returns the sample standard deviation of v (n-1 denominator);

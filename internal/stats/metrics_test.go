@@ -6,22 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMAE(t *testing.T) {
-	v, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1 {
-		t.Fatalf("MAE = %g, want 1", v)
-	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := MAE(nil, nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
 func TestMAPE(t *testing.T) {
 	v, err := MAPE([]float64{110, 90}, []float64{100, 100})
 	if err != nil {
@@ -57,16 +41,6 @@ func TestMeanPercentErrorSigned(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	v, err := RMSE([]float64{1, 3}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(v, math.Sqrt(2), 1e-12) {
-		t.Fatalf("RMSE = %g", v)
-	}
-}
-
 func TestMeanMedian(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
@@ -85,28 +59,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	v, err := Quantile([]float64{1, 2, 3, 4}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(v, 2.5, 1e-12) {
-		t.Fatalf("q0.5 = %g", v)
-	}
-	if v, _ := Quantile([]float64{1, 2, 3, 4}, 0); v != 1 {
-		t.Fatal("q0 wrong")
-	}
-	if v, _ := Quantile([]float64{1, 2, 3, 4}, 1); v != 4 {
-		t.Fatal("q1 wrong")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Fatal("out-of-range q accepted")
-	}
-}
-
 func TestStdDev(t *testing.T) {
 	if StdDev([]float64{5}) != 0 {
 		t.Fatal("single-sample stddev should be 0")
@@ -119,33 +71,6 @@ func TestStdDev(t *testing.T) {
 func TestMinMax(t *testing.T) {
 	if Max([]float64{1, 9, 3}) != 9 || Min([]float64{4, 1, 6}) != 1 {
 		t.Fatal("Min/Max wrong")
-	}
-}
-
-// Property: MAE is symmetric and zero iff inputs equal.
-func TestMAEProperties(t *testing.T) {
-	f := func(a, b [4]float64) bool {
-		for i := range a {
-			if math.IsNaN(a[i]) || math.IsInf(a[i], 0) || math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
-				return true
-			}
-			if math.Abs(a[i]) > 1e150 || math.Abs(b[i]) > 1e150 {
-				return true // difference would overflow float64
-			}
-		}
-		ab, err1 := MAE(a[:], b[:])
-		ba, err2 := MAE(b[:], a[:])
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if !eq(ab, ba, 1e-9*(1+math.Abs(ab))) {
-			return false
-		}
-		same, _ := MAE(a[:], a[:])
-		return same == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

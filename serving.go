@@ -93,11 +93,9 @@ func (g *GPU) FitRegistryEntry(ctx context.Context, name, source string, opts *E
 		return nil, err
 	}
 	meta := registry.FitMeta{
-		Iterations: m.Iterations,
-		Converged:  m.Converged,
-		FitWall:    time.Since(start),
-		FittedAt:   time.Now(),
-		Source:     source,
+		FitWall:  time.Since(start),
+		FittedAt: time.Now(),
+		Source:   source,
 	}
 	if name == "" {
 		name = g.dev.Name
