@@ -17,15 +17,13 @@
 #                  failing on any diagnostic, unproven root, or bad
 #                  //lint:ignore or //gpower: directive. The analyzers
 #                  mechanically enforce determinism (maporder, floateq),
-#                  cancellation (ctxflow), error taxonomy (senterr),
-#                  pooled-spawn (gonosync), disjoint-write (disjointwrite,
-#                  with method-mutation summaries), unit-provenance
-#                  (unitflow, with cross-package facts), snapshot-coherence
-#                  (atomicsnap), serving-boundary (httpbound), wire-unit
-#                  (dtounits) and live-suppression (unusedignore)
-#                  invariants. The target builds gpowerlint once, runs it
-#                  twice, requires byte-identical reports (stdout and
-#                  stderr, the proof's summary line included) and prints
+#                  cancellation (ctxflow), pooled-spawn (gonosync),
+#                  unit-provenance (unitflow, with cross-package facts)
+#                  and live-suppression (unusedignore) invariants; -race
+#                  and run-time tests hold the rest (DESIGN.md §9). The
+#                  target builds gpowerlint once, runs it twice, requires
+#                  byte-identical reports (stdout and stderr, the proof's
+#                  summary line included) and prints
 #                  both wall times so a loader or prover slowdown is
 #                  visible in CI logs; must stay green on every PR.
 #   make bench   — regenerate the paper's tables/figures (EXPERIMENTS.md numbers)

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 
@@ -40,13 +41,7 @@ func main() {
 	defer stop()
 
 	if *report != "" {
-		f, err := os.Create(*report)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpowerbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := experiments.WriteReport(ctx, f, *seed); err != nil {
+		if err := writeReport(ctx, *report, *seed); err != nil {
 			fail("report", err)
 		}
 		fmt.Println("report written to", *report)
@@ -75,6 +70,30 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// writeReport writes the report into a temporary file beside path and
+// renames it into place only once the run and the close succeeded, so a
+// failed or interrupted run leaves neither an empty nor a partial report.
+func writeReport(ctx context.Context, path string, seed uint64) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644) // CreateTemp's 0600 would hide the report from other readers
+	if err == nil {
+		err = experiments.WriteReport(ctx, f, seed)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // fail reports an error, distinguishing user-requested cancellation.

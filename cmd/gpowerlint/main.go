@@ -7,17 +7,9 @@
 //	maporder      range-over-map bodies with order-sensitive effects
 //	floateq       exact floating-point == / !=
 //	ctxflow       dropped-context loops, mid-stack context.Background()/TODO()
-//	senterr       sentinel-error == / !=, fmt.Errorf wrapping without %w
 //	gonosync      naked go statements outside internal/parallel
-//	disjointwrite non-index-derived writes to captured state in parallel
-//	              closures, including mutation one method call deep
 //	unitflow      MHz/volts/watts provenance conflicts in assignments and
 //	              math, with cross-package inference facts
-//	atomicsnap    torn atomic.Pointer snapshots: second Load in a scope,
-//	              inline Load().Field inside loops
-//	httpbound     handlers decoding r.Body without http.MaxBytesReader, or
-//	              minting context.Background() instead of r.Context()
-//	dtounits      DTO field names whose unit disagrees with their json tag
 //	unusedignore  //lint:ignore directives that suppressed zero diagnostics
 //	alloccheck    the interprocedural zero-allocation proof; it runs
 //	              whatever -analyzers selects

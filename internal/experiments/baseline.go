@@ -135,7 +135,7 @@ func RunBaselinesDevice(ctx context.Context, deviceName string, seed uint64) (*B
 // RunBaselines runs the baseline comparison on all three devices.
 func RunBaselines(ctx context.Context, seed uint64) (*BaselineResult, error) {
 	out := &BaselineResult{}
-	for _, name := range []string{"Titan Xp", "GTX Titan X", "Tesla K40c"} {
+	for _, name := range AllDeviceNames() {
 		r, err := RunBaselinesDevice(ctx, name, seed)
 		if err != nil {
 			return nil, err

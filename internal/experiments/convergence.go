@@ -69,7 +69,7 @@ type ConvergenceAllResult struct {
 // RunConvergence runs the convergence experiment on all three devices.
 func RunConvergence(ctx context.Context, seed uint64) (*ConvergenceAllResult, error) {
 	out := &ConvergenceAllResult{}
-	for _, name := range []string{"Titan Xp", "GTX Titan X", "Tesla K40c"} {
+	for _, name := range AllDeviceNames() {
 		r, err := RunConvergenceDevice(ctx, name, seed)
 		if err != nil {
 			return nil, err

@@ -65,7 +65,7 @@ var table = []experiment{
 	{"ablation", seeded(RunAblation), inAll | inCSV | inReport},
 	{"breakdown", func(ctx context.Context, seed uint64) (fmt.Stringer, error) {
 		var out breakdowns
-		for _, dev := range []string{"Titan Xp", "GTX Titan X", "Tesla K40c"} {
+		for _, dev := range AllDeviceNames() {
 			r, err := RunBreakdownTruth(ctx, dev, seed)
 			if err != nil {
 				return nil, err

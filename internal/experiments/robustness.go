@@ -29,7 +29,7 @@ func RunRobustness(ctx context.Context, seeds []uint64) (*RobustnessResult, erro
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: robustness needs at least one seed")
 	}
-	devices := []string{"Titan Xp", "GTX Titan X", "Tesla K40c"}
+	devices := AllDeviceNames()
 	out := &RobustnessResult{Seeds: append([]uint64(nil), seeds...), MAE: map[string][]float64{}}
 	for _, name := range devices {
 		out.MAE[name] = make([]float64, len(seeds))
@@ -75,7 +75,7 @@ func (r *RobustnessResult) OrderingStable() bool {
 func (r *RobustnessResult) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Seed robustness of the Fig. 7 accuracy (%d die instances)\n", len(r.Seeds))
-	for _, name := range []string{"Titan Xp", "GTX Titan X", "Tesla K40c"} {
+	for _, name := range AllDeviceNames() {
 		mean, std, mn, mx, err := r.Stats(name)
 		if err != nil {
 			continue

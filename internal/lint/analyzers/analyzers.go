@@ -1,6 +1,7 @@
 // Package analyzers holds the gpowerlint domain analyzers: mechanical
-// enforcement of the repository's determinism, cancellation, error-taxonomy,
-// numerical-hygiene and concurrency invariants (DESIGN.md §9).
+// enforcement of the repository's determinism, cancellation,
+// numerical-hygiene, unit-provenance and pooled-spawn invariants
+// (DESIGN.md §9).
 package analyzers
 
 import (
@@ -17,13 +18,8 @@ func All() []*lint.Analyzer {
 		MapOrder,
 		FloatEq,
 		CtxFlow,
-		SentErr,
 		GoNoSync,
-		DisjointWrite,
 		UnitFlow,
-		AtomicSnap,
-		HTTPBound,
-		DTOUnits,
 		UnusedIgnore,
 	}
 }
@@ -73,19 +69,6 @@ func isFloat(info *types.Info, e ast.Expr) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// errIface is the universe error interface.
-var errIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// isErrorExpr reports whether the expression is error-typed (implements the
-// built-in error interface) and is not the nil literal.
-func isErrorExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil || tv.IsNil() {
-		return false
-	}
-	return types.Implements(tv.Type, errIface)
-}
-
 // calleeFunc resolves a call expression to the *types.Func it invokes, or nil
 // for builtins, conversions and indirect calls through plain variables.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -132,46 +115,4 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// --- cross-package declaration lookup (shared by the fact layers) ---
-
-// declScope resolves a *types.Package to the syntax and type facts it was
-// checked from: the current pass for the package under analysis, Pass.Dep
-// for in-module dependencies, nothing for foreign packages. The returned
-// pass is silent — fact derivation re-reads syntax for its value only.
-func declScope(pass *lint.Pass, pkg *types.Package) ([]*ast.File, *types.Info, *lint.Pass) {
-	if pkg == pass.Pkg {
-		return pass.Files, pass.Info, pass.Silent()
-	}
-	dep, ok := pass.Dep(pkg.Path())
-	if !ok || dep.Types != pkg {
-		return nil, nil, nil
-	}
-	return dep.Files, dep.Info, pass.Scratch(dep)
-}
-
-// funcDeclOf locates the FuncDecl for an in-module function: in the current
-// package's files, or in a dependency package reached through Pass.Dep.
-// The returned pass is silent and scoped to the declaring package.
-func funcDeclOf(pass *lint.Pass, fn *types.Func) (*ast.FuncDecl, *lint.Pass) {
-	if fn.Pkg() == nil {
-		return nil, nil
-	}
-	files, info, declPass := declScope(pass, fn.Pkg())
-	if files == nil {
-		return nil, nil
-	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if info.Defs[fd.Name] == fn {
-				return fd, declPass
-			}
-		}
-	}
-	return nil, nil
 }

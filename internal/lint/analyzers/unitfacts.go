@@ -129,11 +129,38 @@ func (uf *unitFlowCheck) subCheck(pass *lint.Pass, deriving types.Object) *unitF
 	}
 }
 
+// declScope resolves a *types.Package to the syntax and type facts it was
+// checked from: the current pass for the package under analysis, Pass.Dep
+// for in-module dependencies, nothing for foreign packages. The returned
+// pass is silent — fact derivation re-reads syntax for its value only.
+func (uf *unitFlowCheck) declScope(pkg *types.Package) ([]*ast.File, *types.Info, *lint.Pass) {
+	pass := uf.pass
+	if pkg == pass.Pkg {
+		return pass.Files, pass.Info, pass.Silent()
+	}
+	dep, ok := pass.Dep(pkg.Path())
+	if !ok || dep.Types != pkg {
+		return nil, nil, nil
+	}
+	return dep.Files, dep.Info, pass.Scratch(dep)
+}
+
 // declOf locates the FuncDecl for an in-module function: in the current
 // package's files, or in a dependency package reached through Pass.Dep.
 // The returned pass is silent and scoped to the declaring package.
 func (uf *unitFlowCheck) declOf(fn *types.Func) (*ast.FuncDecl, *lint.Pass) {
-	return funcDeclOf(uf.pass, fn)
+	if fn.Pkg() == nil {
+		return nil, nil
+	}
+	files, info, declPass := uf.declScope(fn.Pkg())
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && info.Defs[fd.Name] == fn {
+				return fd, declPass
+			}
+		}
+	}
+	return nil, nil
 }
 
 // varSpecOf locates the ValueSpec (and the name's index in it) declaring a
@@ -142,10 +169,7 @@ func (uf *unitFlowCheck) varSpecOf(v *types.Var) (*ast.ValueSpec, int, *lint.Pas
 	if v.Pkg() == nil {
 		return nil, 0, nil
 	}
-	files, info, pass := declScope(uf.pass, v.Pkg())
-	if files == nil {
-		return nil, 0, nil
-	}
+	files, info, pass := uf.declScope(v.Pkg())
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)

@@ -8,7 +8,7 @@ import (
 )
 
 var knownAnalyzers = map[string]bool{
-	"maporder": true, "floateq": true, "ctxflow": true, "senterr": true, "gonosync": true,
+	"maporder": true, "floateq": true, "ctxflow": true, "gonosync": true,
 }
 
 func parseIgnoresFrom(t *testing.T, src string) (*token.FileSet, []Ignore, []Diagnostic) {
@@ -73,7 +73,7 @@ func g(a, b float64) bool {
 			t.Errorf("comma-separated directive does not match %s on the following line", name)
 		}
 	}
-	if d2.Matches("senterr", token.Position{Filename: "fix.go", Line: 9}) {
+	if d2.Matches("ctxflow", token.Position{Filename: "fix.go", Line: 9}) {
 		t.Error("comma-separated directive must not match an unlisted analyzer")
 	}
 }

@@ -1,7 +1,7 @@
 // Package lint is a dependency-free static-analysis engine for the gpupower
 // module. It mechanically enforces the repository's load-bearing invariants —
 // bitwise serial/parallel determinism, context cancellation at iteration
-// granularity, the typed backend error taxonomy, numerical hygiene and the
+// granularity, numerical hygiene, MHz/volts/watts provenance and the
 // worker-pool concurrency discipline — that would otherwise rely on reviewer
 // vigilance alone.
 //
@@ -28,11 +28,11 @@ import (
 	"sync"
 )
 
-// FactStore memoizes cross-package analysis facts (unitflow result/var units,
-// disjointwrite method-mutation summaries) for one engine run. Keys are
-// small comparable structs wrapping type-checker objects, so identity keying
-// is sound exactly as long as the store lives no longer than the Loader whose
-// type graph produced the objects — which is why the store hangs off the
+// FactStore memoizes cross-package analysis facts (unitflow's result and
+// package-level var units) for one engine run. Keys are small comparable
+// structs wrapping type-checker objects, so identity keying is sound
+// exactly as long as the store lives no longer than the Loader whose type
+// graph produced the objects — which is why the store hangs off the
 // Runner (one per run) rather than off the analyzers package: a process that
 // runs the engine repeatedly (tests, a long-running embedding) must not pin
 // every run's type graph and ASTs for its lifetime. The engine runs packages
@@ -90,10 +90,10 @@ type Pass struct {
 	// Deps resolves a local import path to the loaded package it names,
 	// searching this package's transitive in-module imports. The Runner wires
 	// it from the Loader; it is nil in hand-constructed passes, which Dep
-	// tolerates. Cross-package analyses (unitflow provenance facts,
-	// disjointwrite method summaries) use it to read dependency syntax —
-	// dependency packages are always fully loaded by the time this package
-	// type-checked, so resolution never triggers new work.
+	// tolerates. unitflow's cross-package provenance facts use it to read
+	// dependency syntax — dependency packages are always fully loaded by
+	// the time this package type-checked, so resolution never triggers new
+	// work.
 	Deps func(path string) (*Package, bool)
 
 	diags *[]Diagnostic

@@ -42,10 +42,9 @@ type Package struct {
 
 // Dep resolves a local import path to its loaded package, searching the
 // package's direct imports first and then breadth-first through their
-// imports. Cross-package analyses (unitflow facts, disjointwrite method
-// summaries) use it to reach the syntax of the packages this one depends
-// on; it never triggers a new load — every reachable dependency was loaded
-// when this package type-checked.
+// imports. Cross-package analyses (unitflow's facts) use it to reach the
+// syntax of the packages this one depends on; it never triggers a new load
+// — every reachable dependency was loaded when this package type-checked.
 func (p *Package) Dep(path string) (*Package, bool) {
 	if p.loader == nil {
 		return nil, false

@@ -420,7 +420,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// repeated utilization vectors reduce to one cache lookup.
 			surf, err := core.Surfaces.Get(ctx, m, dev, m.Ref, u)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
+				httpError(w, errStatus(ctx, err, http.StatusBadRequest), "items[%d]: %v", i, err)
 				return
 			}
 			watts = surf.PowerW
@@ -486,6 +486,16 @@ func httpStatusForCancel(ctx context.Context) int {
 	return 499
 }
 
+// errStatus is the status of a failed model evaluation: an error the dead
+// request context caused maps through httpStatusForCancel, any other takes
+// the handler's fallback.
+func errStatus(ctx context.Context, err error, fallback int) int {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return httpStatusForCancel(ctx)
+	}
+	return fallback
+}
+
 // appendJSONString appends s as a JSON string literal. Registry names are
 // plain ASCII ("GTX Titan X#42"); anything needing heavier escaping takes
 // the slow path through encoding/json.
@@ -546,9 +556,10 @@ func (s *Server) handleGovern(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m, meta := e.Snapshot()
-	cfg, err := governor.Decide(r.Context(), m, e.Device(), policy, req.PowerCapWatts, u)
+	ctx := r.Context()
+	cfg, err := governor.Decide(ctx, m, e.Device(), policy, req.PowerCapWatts, u)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		httpError(w, errStatus(ctx, err, http.StatusUnprocessableEntity), "%v", err)
 		return
 	}
 	power, err := m.Predict(u, cfg)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpupower/internal/core"
 	"gpupower/internal/governor"
@@ -121,8 +123,12 @@ func TestDevices(t *testing.T) {
 	defer resp.Body.Close()
 	var out struct {
 		Devices []struct {
-			Name       string  `json:"name"`
-			Arch       string  `json:"arch"`
+			Name string `json:"name"`
+			Arch string `json:"arch"`
+			Ref  struct {
+				CoreMHz float64 `json:"core_mhz"`
+				MemMHz  float64 `json:"mem_mhz"`
+			} `json:"ref"`
 			TDPWatts   float64 `json:"tdp_watts"`
 			NumConfigs int     `json:"num_configs"`
 			Generation uint64  `json:"generation"`
@@ -141,6 +147,15 @@ func TestDevices(t *testing.T) {
 	}
 	if _, meta := e.Snapshot(); d.Generation != meta.Generation {
 		t.Fatalf("generation %d, want %d", d.Generation, meta.Generation)
+	}
+	// Each unit-named key carries the value of that unit: a swapped or
+	// misnamed key decodes to the wrong number or to zero.
+	dev := e.Device()
+	ref := dev.DefaultConfig()
+	if math.Float64bits(d.TDPWatts) != math.Float64bits(dev.TDP) ||
+		math.Float64bits(d.Ref.CoreMHz) != math.Float64bits(ref.CoreMHz) ||
+		math.Float64bits(d.Ref.MemMHz) != math.Float64bits(ref.MemMHz) {
+		t.Fatalf("tdp_watts %g, ref (%g, %g) MHz; want %g W at %v", d.TDPWatts, d.Ref.CoreMHz, d.Ref.MemMHz, dev.TDP, ref)
 	}
 }
 
@@ -340,16 +355,59 @@ func TestUtilizationAnswersDeterministic(t *testing.T) {
 	}
 }
 
+// TestPredictBodyBound: every POST route reads its body through the
+// MaxRequestBytes bound, so an oversized request answers 413 on each.
 func TestPredictBodyBound(t *testing.T) {
 	ts, _, _ := newTestServer(t, &Options{MaxRequestBytes: 256})
-	big := `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.1234567890123}}` +
-		strings.Repeat(`,{"utilization":{"SP":0.5}}`, 64) + `]}`
-	if len(big) <= 256 {
-		t.Fatalf("test body too small (%d bytes)", len(big))
+	pad := strings.Repeat(" ", 256)
+	for _, tc := range []struct{ route, body string }{
+		{"predict", `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.1234567890123}}` +
+			strings.Repeat(`,{"utilization":{"SP":0.5}}`, 64) + `]}`},
+		{"govern", `{"device":"Tesla K40c","utilization":{"SP":0.9},` + pad + `"policy":"min-EDP"}`},
+		{"breakdown", `{"device":"Tesla K40c",` + pad + `"utilization":{"SP":0.5}}`},
+	} {
+		t.Run(tc.route, func(t *testing.T) {
+			if len(tc.body) <= 256 {
+				t.Fatalf("test body too small (%d bytes)", len(tc.body))
+			}
+			resp, data := postJSON(t, ts.URL+"/v1/"+tc.route, tc.body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("HTTP %d (want 413): %s", resp.StatusCode, data)
+			}
+		})
 	}
-	resp, data := postJSON(t, ts.URL+"/v1/predict", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("HTTP %d (want 413): %s", resp.StatusCode, data)
+}
+
+// TestDeadRequestContext: a request whose context is already dead answers
+// 504 when its deadline passed and 499 when the client canceled it, on the
+// predict and the govern route alike, never a 4xx blaming the request.
+func TestDeadRequestContext(t *testing.T) {
+	s, _ := modelServer(t, testModel(t, hw.TeslaK40c(), 40), nil)
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, route := range []struct{ name, body string }{
+		{"predict", `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.8}}]}`},
+		{"govern", `{"device":"Tesla K40c","utilization":{"SP":0.8},"policy":"min-energy"}`},
+	} {
+		for _, tc := range []struct {
+			name string
+			ctx  context.Context
+			want int
+		}{
+			{"deadline passed", expired, http.StatusGatewayTimeout},
+			{"canceled", canceled, 499},
+		} {
+			t.Run(route.name+"/"+tc.name, func(t *testing.T) {
+				rec := httptest.NewRecorder()
+				req := httptest.NewRequest(http.MethodPost, "/v1/"+route.name, strings.NewReader(route.body))
+				s.ServeHTTP(rec, req.WithContext(tc.ctx))
+				if rec.Code != tc.want {
+					t.Fatalf("HTTP %d (want %d): %s", rec.Code, tc.want, rec.Body)
+				}
+			})
+		}
 	}
 }
 
@@ -378,7 +436,7 @@ func TestGovernMatchesDecide(t *testing.T) {
 	if err := json.Unmarshal(out.Raw, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	want, err := governor.Decide(t.Context(), m, e.Device(), governor.MinEDP, 0, u)
+	want, err := governor.Decide(context.Background(), m, e.Device(), governor.MinEDP, 0, u)
 	if err != nil {
 		t.Fatal(err)
 	}
